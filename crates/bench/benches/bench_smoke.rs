@@ -14,7 +14,8 @@
 //! The gate only runs when the baseline's `cores`/`rustc` metadata
 //! matches the current environment ([`env_mismatch`]); otherwise it
 //! prints why and exits 0 — a laptop baseline compared on a CI runner is
-//! noise, not signal. After a legitimate speedup, refresh the baseline
+//! noise, not signal. When every baseline was skipped it prints
+//! `perf-smoke SKIPPED: 0 metrics checked` (still exit 0), never PASS. After a legitimate speedup, refresh the baseline
 //! with `cargo bench --bench kernel_compute` and commit the new JSON.
 //!
 //! Set `OPLIX_PERF_SMOKE_HANDICAP=<factor>` to multiply every measured
@@ -147,30 +148,36 @@ fn measure_pipeline() -> Vec<(&'static str, f64)> {
 /// Gates one `(baseline file, re-measured metrics)` pair. A missing
 /// baseline or a mismatched environment skips (prints why); a malformed
 /// baseline, a missing pinned key, or a metric beyond
-/// [`PERF_SMOKE_THRESHOLD`]× fails. Returns whether the gate failed.
+/// [`PERF_SMOKE_THRESHOLD`]× fails. Returns whether the gate failed and
+/// how many metrics it actually compared against the baseline.
 /// Measurement is lazy so a skipped gate costs nothing.
-fn gate(path: &str, measure: impl FnOnce() -> Vec<(&'static str, f64)>, handicap: f64) -> bool {
+fn gate(
+    path: &str,
+    measure: impl FnOnce() -> Vec<(&'static str, f64)>,
+    handicap: f64,
+) -> (bool, usize) {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
             println!("perf-smoke SKIP: no baseline at {path}: {e}");
-            return false;
+            return (false, 0);
         }
     };
     let baseline = match parse_flat_json(&text) {
         Some(map) => map,
         None => {
             println!("perf-smoke FAIL: {path} is not a flat JSON baseline");
-            return true;
+            return (true, 0);
         }
     };
     let current = BenchMeta::current();
     if let Some(reason) = env_mismatch(&baseline, &current) {
         println!("perf-smoke SKIP ({path}): {reason}");
-        return false;
+        return (false, 0);
     }
 
     let mut failed = false;
+    let mut checked = 0;
     for (key, measured) in measure() {
         let measured = measured * handicap;
         let Some(base) = baseline.get(key).and_then(|v| v.as_number()) else {
@@ -178,6 +185,7 @@ fn gate(path: &str, measure: impl FnOnce() -> Vec<(&'static str, f64)>, handicap
             failed = true;
             continue;
         };
+        checked += 1;
         let ratio = measured / base;
         let verdict = if ratio > PERF_SMOKE_THRESHOLD {
             failed = true;
@@ -187,7 +195,7 @@ fn gate(path: &str, measure: impl FnOnce() -> Vec<(&'static str, f64)>, handicap
         };
         println!("perf-smoke: {key:40} baseline {base:10.2}  measured {measured:10.2}  ({ratio:.2}x) {verdict}");
     }
-    failed
+    (failed, checked)
 }
 
 fn main() {
@@ -202,9 +210,10 @@ fn main() {
 
     let kernels = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let pipeline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    let mut failed = gate(kernels, measure, handicap);
-    failed |= gate(pipeline, measure_pipeline, handicap);
-    if failed {
+    let (kernels_failed, kernels_checked) = gate(kernels, measure, handicap);
+    let (pipeline_failed, pipeline_checked) = gate(pipeline, measure_pipeline, handicap);
+    let checked = kernels_checked + pipeline_checked;
+    if kernels_failed || pipeline_failed {
         println!(
             "perf-smoke FAIL: at least one metric regressed beyond \
              {PERF_SMOKE_THRESHOLD}x its checked-in baseline. If a slowdown is \
@@ -215,5 +224,12 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("perf-smoke PASS: all pinned metrics within {PERF_SMOKE_THRESHOLD}x of baseline");
+    if checked == 0 {
+        // Every baseline was skipped: nothing was gated, so claim nothing.
+        println!("perf-smoke SKIPPED: 0 metrics checked");
+        return;
+    }
+    println!(
+        "perf-smoke PASS: all {checked} checked metrics within {PERF_SMOKE_THRESHOLD}x of baseline"
+    );
 }

@@ -26,7 +26,22 @@
 //! entry points ([`CompiledMesh::propagate_batch`],
 //! [`CompiledLayer::forward_batch`]) the inference engine serves sample
 //! windows through.
+//!
+//! **Live-cone pruning.** In an `m×n` layer only the first `k = min(m, n)`
+//! outputs of the `n×n` `V*` mesh reach an attenuator, so
+//! [`CompiledLayer`] bakes `V*` with only the *backward light cone* of
+//! output modes `0..k`: sweeping the MZIs output side first, an MZI is
+//! kept iff either of its modes is live, and a kept MZI makes both of its
+//! modes live. A dropped MZI feeds no kept MZI and no live output, so
+//! every value Σ reads is computed from the same operands by the same
+//! expressions in the same order — the layer stays bitwise identical to
+//! [`PhotonicLayer::forward_into`]. After the pruned `V*` the dead modes
+//! `k..n` hold unspecified values. Only the kernel shrinks: the
+//! [`PhotonicLayer`] hardware description (device counts, chip reports,
+//! area) still counts every physical MZI. [`CompiledMesh::compile`] is
+//! the unpruned case (every output live).
 
+use crate::devices::Mzi;
 use crate::mesh::MziMesh;
 use crate::svd_map::PhotonicLayer;
 use oplix_linalg::lanes::{cmul_splat_lhs, cmul_splat_rhs, F64x4, Lane};
@@ -138,7 +153,8 @@ pub struct CompiledMesh {
     /// CSR-style offsets into the coefficient arrays: stage `s` spans
     /// `stages[s]..stages[s + 1]`.
     stages: Vec<usize>,
-    /// Precomputed `e^{iφ}` of the output phase screen.
+    /// Precomputed `e^{iφ}` of the output phase screen over the live
+    /// outputs `0..live` (all `n` modes unless the bake was pruned).
     out_phasors: Vec<Complex64>,
 }
 
@@ -151,13 +167,21 @@ impl CompiledMesh {
     /// strictly increasing stages, the stage-major replay order only
     /// commutes mode-disjoint MZIs — an exact (bitwise) reordering.
     pub fn compile(mesh: &MziMesh) -> Self {
+        Self::compile_live(mesh, mesh.n())
+    }
+
+    /// Bakes only the backward light cone of output modes `0..live` (see
+    /// [`live_cone`]): those outputs are bitwise the full bake's, the
+    /// output phase screen covers only them, and modes `live..n` are left
+    /// unspecified. `live = n` bakes every MZI.
+    fn compile_live(mesh: &MziMesh, live: usize) -> Self {
         let n = mesh.n();
-        let mzis = mesh.mzis();
+        let mzis = live_cone(mesh, live);
         // Greedy column packing, identical to `MziMesh::depth`.
         let mut free_at = vec![0usize; n];
         let mut layer_of = Vec::with_capacity(mzis.len());
         let mut depth = 0usize;
-        for mzi in mzis {
+        for mzi in &mzis {
             let layer = free_at[mzi.mode].max(free_at[mzi.mode + 1]);
             free_at[mzi.mode] = layer + 1;
             free_at[mzi.mode + 1] = layer + 1;
@@ -197,8 +221,7 @@ impl CompiledMesh {
             t10,
             t11,
             stages,
-            out_phasors: mesh
-                .output_phases()
+            out_phasors: mesh.output_phases()[..live]
                 .iter()
                 .map(|&p| Complex64::cis(p))
                 .collect(),
@@ -234,7 +257,8 @@ impl CompiledMesh {
     }
 
     /// The compiled kernel over one sample: replays every baked 2×2
-    /// product in stage-major order, then the output phasors.
+    /// product in stage-major order, then the output phasors of the live
+    /// outputs.
     #[inline]
     fn kernel(&self, fields: &mut [Complex64]) {
         for idx in 0..self.modes.len() {
@@ -416,11 +440,10 @@ impl CompiledMesh {
                 yi,
             );
         }
-        // Transpose back, phase screen folded in: `f * phasor` with the
-        // field as the left operand — the exact scalar expression of the
-        // per-sample kernel's `*f *= ph` pass.
-        for m in 0..n {
-            let ph = self.out_phasors[m];
+        // Transpose the live outputs back, phase screen folded in:
+        // `f * phasor` with the field as the left operand — the exact
+        // scalar expression of the per-sample kernel's `*f *= ph` pass.
+        for (m, &ph) in self.out_phasors.iter().enumerate() {
             let base = 2 * m * samples;
             let mut s = 0;
             while s < full {
@@ -459,6 +482,25 @@ impl CompiledMesh {
         self.propagate_batch(&mut batch, n);
         oplix_linalg::CMatrix::from_fn(n, n, |i, j| batch[j * n + i])
     }
+}
+
+/// The backward light cone of output modes `0..live`, in mesh order.
+/// Sweeping the MZIs output side first, an MZI is kept iff either of its
+/// modes is live, and a kept MZI makes both of its modes live (each of its
+/// outputs mixes both inputs). Liveness only grows, so a dropped MZI
+/// writes modes that no later kept MZI and no live output ever reads.
+fn live_cone(mesh: &MziMesh, live: usize) -> Vec<&Mzi> {
+    let mut live_mode: Vec<bool> = (0..mesh.n()).map(|m| m < live).collect();
+    let mut kept = Vec::with_capacity(mesh.mzi_count());
+    for mzi in mesh.mzis().iter().rev() {
+        if live_mode[mzi.mode] || live_mode[mzi.mode + 1] {
+            live_mode[mzi.mode] = true;
+            live_mode[mzi.mode + 1] = true;
+            kept.push(mzi);
+        }
+    }
+    kept.reverse();
+    kept
 }
 
 /// Where one gathered input mode of [`CompiledLayer::forward_gathered`]
@@ -574,7 +616,11 @@ impl CompiledLayer {
             n: layer.input_dim(),
             gain: layer.gain(),
             attenuations: layer.attenuators().iter().map(|a| a.coefficient).collect(),
-            v: CompiledMesh::compile(layer.v_mesh()),
+            // Σ reads only V*'s first min(m, n) outputs.
+            v: CompiledMesh::compile_live(
+                layer.v_mesh(),
+                layer.output_dim().min(layer.input_dim()),
+            ),
             u: CompiledMesh::compile(layer.u_mesh()),
         }
     }
@@ -706,7 +752,8 @@ impl CompiledLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices::Mzi;
+    use crate::clements::decompose_clements;
+    use crate::reck::decompose_reck;
     use crate::svd_map::MeshStyle;
     use oplix_linalg::CMatrix;
     use proptest::prelude::*;
@@ -734,6 +781,79 @@ mod tests {
         (0..n)
             .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
             .collect()
+    }
+
+    /// The bit patterns of modes `0..live` of every `n`-wide row, so
+    /// signed zeros count.
+    fn live_bits(fields: &[Complex64], n: usize, live: usize) -> Vec<(u64, u64)> {
+        fields
+            .chunks_exact(n)
+            .flat_map(|row| &row[..live])
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    }
+
+    /// Runs a window of `samples` rows through the full bake per sample
+    /// (the reference) and through the `live`-pruned bake both per sample
+    /// and as one batch; returns the live bits of all three.
+    fn pruned_runs(mesh: &MziMesh, live: usize, samples: usize, seed: u64) -> [Vec<(u64, u64)>; 3] {
+        let n = mesh.n();
+        let full = CompiledMesh::compile(mesh);
+        let pruned = CompiledMesh::compile_live(mesh, live);
+        let input = random_fields(n * samples, seed);
+        let mut want = input.clone();
+        let mut per_sample = input.clone();
+        for (w, p) in want.chunks_exact_mut(n).zip(per_sample.chunks_exact_mut(n)) {
+            full.propagate_in_place(w);
+            pruned.propagate_in_place(p);
+        }
+        let mut batch = input;
+        pruned.propagate_batch(&mut batch, samples);
+        [&want, &per_sample, &batch].map(|f| live_bits(f, n, live))
+    }
+
+    #[test]
+    fn live_pruning_is_bitwise_on_decomposed_unitaries() {
+        // Every live count of real Clements rectangles and Reck
+        // triangles, through the per-sample kernel and windows on both
+        // sides of the mode-major switch.
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in [1usize, 2, 5, 9, 16] {
+            let u = CMatrix::random_unitary(n, &mut rng);
+            for mesh in [decompose_clements(&u), decompose_reck(&u)] {
+                for live in 0..=n {
+                    for samples in [
+                        1,
+                        MODE_MAJOR_MIN_SAMPLES - 1,
+                        MODE_MAJOR_MIN_SAMPLES,
+                        2 * MODE_MAJOR_MIN_SAMPLES + 3,
+                    ] {
+                        let [want, per_sample, batch] =
+                            pruned_runs(&mesh, live, samples, (n * 64 + live) as u64);
+                        assert_eq!(per_sample, want, "n={n} live={live} samples={samples}");
+                        assert_eq!(batch, want, "n={n} live={live} samples={samples}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_cone_counts_on_a_served_conv_shape() {
+        // The LeNet-halved conv2 stage (6×76): Clements V* keeps 1660 of
+        // its 2850 MZIs, a Reck triangle's cone is the whole mesh, and
+        // neither the U mesh nor the hardware description is pruned.
+        let mut rng = StdRng::seed_from_u64(76);
+        let w = CMatrix::from_fn(6, 76, |_, _| {
+            Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+        });
+        for (style, kept) in [(MeshStyle::Clements, 1660), (MeshStyle::Reck, 2850)] {
+            let layer = PhotonicLayer::from_matrix(&w, style);
+            let compiled = CompiledLayer::compile(&layer);
+            assert_eq!(layer.v_mesh().mzi_count(), 2850, "{style:?}");
+            assert_eq!(compiled.v.mzi_count(), kept, "{style:?}");
+            assert_eq!(compiled.u.mzi_count(), layer.u_mesh().mzi_count());
+        }
     }
 
     #[test]
@@ -843,6 +963,24 @@ mod tests {
                 .collect();
             compiled.propagate_batch(&mut batch, samples);
             prop_assert_eq!(batch, reference);
+        }
+
+        /// A live-pruned bake is bitwise the full bake on modes
+        /// `0..live` for every live count, per sample and batched, with
+        /// windows straddling `MODE_MAJOR_MIN_SAMPLES`.
+        #[test]
+        fn live_pruned_mesh_is_bitwise_full_on_live_modes(
+            n in 2usize..12,
+            count in 0usize..60,
+            live_pick in 0usize..1000,
+            samples in 0usize..2 * MODE_MAJOR_MIN_SAMPLES + 4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mesh = random_mesh(n, count, seed);
+            let live = live_pick % (n + 1);
+            let [want, per_sample, batch] = pruned_runs(&mesh, live, samples, seed ^ 0x11fe);
+            prop_assert_eq!(&per_sample, &want, "live={}", live);
+            prop_assert_eq!(&batch, &want, "live={}", live);
         }
 
         /// Compiled SVD layers are bitwise the interpreted layer forward,

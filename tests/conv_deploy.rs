@@ -404,3 +404,67 @@ fn pooled_lenet_style_body_deploys_and_agrees_with_software() {
         }
     }
 }
+
+#[test]
+fn lenet_halved_hardware_accounting_counts_every_physical_mzi() {
+    // The compiled V* kernels bake only the live light cone of each wide
+    // mesh, but the hardware description is untouched: device counts,
+    // per-chip depth/loss/latency and area still count every physical
+    // MZI of the channel-halved LeNet body the benchmarks serve.
+    use oplix_photonics::area::AreaModel;
+    use oplix_photonics::count::DeviceCount;
+    use oplix_photonics::decoder::DecoderKind;
+    use oplix_photonics::svd_map::layer_mzi_count;
+    use oplixnet::deploy::ChipReport;
+    use oplixnet::spec::{lenet5_orig, lenet5_prop};
+    use oplixnet::zoo::{build_lenet, LenetConfig, ModelVariant};
+
+    let cfg = LenetConfig::training_scale(2, 16, 10).halved();
+    let mut rng = StdRng::seed_from_u64(17);
+    let net = build_lenet(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
+    let deployed = oplixnet::deploy::DeployedFcnn::from_network_shaped(
+        &net,
+        Some((cfg.in_ch, cfg.input_h, cfg.input_w)),
+        DeployedDetection::Differential,
+        MeshStyle::Clements,
+    )
+    .expect("LeNet deploys");
+    // 3×26, 6×76, 24×97, 16×25 and 20×17 meshes, each V* + Σ + U.
+    let count = deployed.device_count();
+    let closed_form: u64 = [(3, 26), (6, 76), (24, 97), (16, 25), (20, 17)]
+        .iter()
+        .map(|&(m, n)| layer_mzi_count(m, n))
+        .sum();
+    assert_eq!(count, DeviceCount::from_mzis(8937));
+    assert_eq!(count.mzis, closed_form);
+    assert_eq!(
+        AreaModel::silicon_photonic_defaults().area_mm2(&count),
+        134.055
+    );
+
+    let chip = |stage, optical, input_width, output_width, mesh_depth, loss, latency| ChipReport {
+        stage,
+        optical,
+        input_width,
+        output_width,
+        mesh_depth,
+        insertion_loss_db: loss,
+        latency_ps: latency,
+    };
+    assert_eq!(
+        deployed.chip_reports(),
+        vec![
+            chip(0, true, 256, 768, 29, 8.7, 116.0),
+            chip(1, false, 768, 192, 0, 0.0, 0.0),
+            chip(2, true, 192, 384, 82, 24.6, 328.0),
+            chip(3, false, 384, 96, 0, 0.0, 0.0),
+            chip(4, true, 96, 24, 121, 36.3, 484.0),
+            chip(5, true, 24, 16, 41, 12.3, 164.0),
+            chip(6, true, 16, 20, 37, 11.1, 148.0),
+        ]
+    );
+
+    // The paper-scale Table II LeNet-5 counts behind the ~75% area cut.
+    assert_eq!(lenet5_orig().mzis(), 115_418);
+    assert_eq!(lenet5_prop().mzis(), 29_361);
+}

@@ -55,20 +55,42 @@ fn compiled_kernels_are_bitwise_on_decomposed_unitaries() {
 
 #[test]
 fn compiled_svd_layers_are_bitwise_across_styles() {
+    // Small edge shapes plus the wide shapes the paper workloads serve
+    // (LeNet-halved conv1/conv2/fc1, FCNN stage 0), whose V* bakes are
+    // live-cone pruned. Each runs as single samples and as one 64-sample
+    // window (the mode-major path) against the unpruned interpreted layer.
+    const WINDOW: usize = 64;
     let mut rng = StdRng::seed_from_u64(2);
-    for &(m, n) in &[(1usize, 1usize), (3, 7), (7, 3), (16, 16)] {
+    for &(m, n) in &[
+        (1usize, 1usize),
+        (3, 7),
+        (7, 3),
+        (16, 16),
+        (3, 26),
+        (6, 76),
+        (24, 97),
+        (32, 65),
+    ] {
         let w = CMatrix::from_fn(m, n, |_, _| {
             Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
         });
         for style in [MeshStyle::Clements, MeshStyle::Reck] {
             let layer = PhotonicLayer::from_matrix(&w, style);
             let compiled = CompiledLayer::compile(&layer);
-            let mut io = random_fields(n, (m * 31 + n) as u64);
-            let mut reference = io.clone();
+            let window = random_fields(n * WINDOW, (m * 31 + n) as u64);
             let (mut tmp_a, mut tmp_b) = (Vec::new(), Vec::new());
-            compiled.forward_into(&mut io, &mut tmp_a);
-            layer.forward_into(&mut reference, &mut tmp_b);
-            assert_eq!(io, reference, "{m}x{n} {style:?}");
+            let mut want = Vec::with_capacity(m * WINDOW);
+            for row in window.chunks_exact(n) {
+                let mut io = row.to_vec();
+                let mut reference = row.to_vec();
+                compiled.forward_into(&mut io, &mut tmp_a);
+                layer.forward_into(&mut reference, &mut tmp_b);
+                assert_eq!(io, reference, "{m}x{n} {style:?} single sample");
+                want.extend(reference);
+            }
+            let mut batch = window;
+            compiled.forward_batch(&mut batch, &mut tmp_a, WINDOW);
+            assert_eq!(batch, want, "{m}x{n} {style:?} {WINDOW}-sample window");
         }
     }
 }
