@@ -52,6 +52,9 @@ std::thread_local! {
     /// [`CompiledMesh::propagate_batch`] (`2n` rows of `samples` doubles:
     /// row `2m` holds mode `m`'s re parts, row `2m+1` its im parts):
     /// after warm-up, batched propagation allocates nothing per window.
+    /// The [`CompiledLayer`] entry points propagate one row tile at a
+    /// time (see [`tile_rows`]), so on the serving path it never outgrows
+    /// one tile.
     static MODE_MAJOR_SCRATCH: std::cell::RefCell<Vec<f64>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -66,6 +69,21 @@ std::thread_local! {
 /// runs ~3.5× faster than sample-major. Public so the property tests
 /// can pin windows straddling the switch.
 pub const MODE_MAJOR_MIN_SAMPLES: usize = 8;
+
+/// Planar scratch budget of one [`CompiledLayer`] row tile: 256 KiB, so a
+/// tile's V* and U sweeps stay resident in a per-core L2 instead of
+/// streaming every butterfly's rows from L3.
+const TILE_BYTES: usize = 256 * 1024;
+
+/// Rows per tile of a layer whose widest mesh has `width` modes. A row
+/// costs `32 · width` bytes: its planar re/im rows (`16 · width`) plus its
+/// sample-major fields (`16 · width`). Never below
+/// [`MODE_MAJOR_MIN_SAMPLES`], so every full tile takes the lane sweep.
+/// The served shapes tile at 315 rows (3×26), 107 (6×76), 84 (24×97) and
+/// 126 (32×65).
+fn tile_rows(width: usize) -> usize {
+    MODE_MAJOR_MIN_SAMPLES.max(TILE_BYTES / (32 * width.max(1)))
+}
 
 /// One MZI butterfly swept across a whole planar sample window: the four
 /// rows are mode `m`'s and mode `m+1`'s re/im parts, and every lane of
@@ -521,9 +539,8 @@ pub enum GatherSource {
 /// Expands one source sample through a gather `plan` into `dst`: each plan
 /// slot reads its input field, a dark (zero) mode, or the reference (unit)
 /// mode. This is the single source of truth for the im2col gather —
-/// [`CompiledLayer::forward_gathered`] runs it inline per sample, and the
-/// deploy layer's parallel gather path fans the same loop out across the
-/// executor, so both are bitwise identical by construction.
+/// [`CompiledLayer::forward_gathered`] runs it once per patch row, on that
+/// row's slice of the plan.
 ///
 /// The loop is **run-blocked** rather than per-slot: maximal runs of
 /// consecutive `Input(j), Input(j+1), …` taps (the common case — an
@@ -677,11 +694,15 @@ impl CompiledLayer {
     /// Batched forward over *im2col windows*: every sample of `src` (a
     /// contiguous window of `src.len() / src_width` samples, each
     /// `src_width` fields wide) is expanded into `plan.len() / input_dim`
-    /// gathered rows — one per convolution output position — and the whole
-    /// row window runs through [`CompiledLayer::forward_batch`] as one
-    /// compiled batch. `plan` maps each gathered mode to its source:
-    /// an input field, a dark (zero-padding) mode, or the always-on
-    /// reference (bias) mode.
+    /// gathered rows — one per convolution output position. `plan` maps
+    /// each gathered mode to its source: an input field, a dark
+    /// (zero-padding) mode, or the always-on reference (bias) mode.
+    ///
+    /// The rows are gathered one tile at a time into `tmp` and each tile
+    /// runs straight through the compiled layer into its output rows, so
+    /// the full `samples × positions × input_dim` patch buffer never
+    /// exists. Row `r` is position `r % positions` of sample
+    /// `r / positions`; a tile may start or end inside a sample.
     ///
     /// On exit `io` holds `samples × rows_per_sample × output_dim` fields,
     /// row-major in `(sample, row)` order; `tmp` is caller-owned scratch.
@@ -709,22 +730,38 @@ impl CompiledLayer {
             src_width > 0 && src.len().is_multiple_of(src_width),
             "source window length must be a multiple of the sample width"
         );
-        let rows_per_sample = plan.len() / self.n;
-        let samples = src.len() / src_width;
+        let (n, m) = (self.n, self.m);
+        let positions = plan.len() / n;
+        let rows = src.len() / src_width * positions;
+        let tile = tile_rows(n.max(m));
         io.clear();
-        io.resize(samples * rows_per_sample * self.n, Complex64::ZERO);
-        for s in 0..samples {
-            let sample = &src[s * src_width..(s + 1) * src_width];
-            let dst = &mut io[s * plan.len()..(s + 1) * plan.len()];
-            gather_into(plan, sample, dst);
+        io.resize(rows * m, Complex64::ZERO);
+        tmp.clear();
+        tmp.resize(tile.min(rows) * n, Complex64::ZERO);
+        for r0 in (0..rows).step_by(tile) {
+            let r1 = rows.min(r0 + tile);
+            let gathered = &mut tmp[..(r1 - r0) * n];
+            for (r, dst) in (r0..r1).zip(gathered.chunks_exact_mut(n)) {
+                let (s, p) = (r / positions, r % positions);
+                gather_into(
+                    &plan[p * n..(p + 1) * n],
+                    &src[s * src_width..(s + 1) * src_width],
+                    dst,
+                );
+            }
+            self.tile_forward(gathered, &mut io[r0 * m..r1 * m], r1 - r0);
         }
-        self.forward_batch(io, tmp, samples * rows_per_sample);
     }
 
     /// Compiled forward pass over a window of `samples` contiguous
     /// samples: `io` holds `samples × n` input fields on entry and
     /// `samples × m` output fields on exit. Bitwise identical to running
     /// each sample through [`CompiledLayer::forward_into`].
+    ///
+    /// The window runs one row tile at a time (V*, Σ, then U per tile), so
+    /// each tile's planar sweeps stay cache-resident however large the
+    /// window is. Every row still runs the identical operation sequence;
+    /// tiling only changes which rows share a lane sweep.
     ///
     /// # Panics
     ///
@@ -735,17 +772,32 @@ impl CompiledLayer {
             samples * self.n,
             "batch length must be samples * layer fan-in"
         );
-        self.v.propagate_batch(io, samples);
+        let tile = tile_rows(self.n.max(self.m));
         tmp.clear();
         tmp.resize(samples * self.m, Complex64::ZERO);
-        for s in 0..samples {
-            self.sigma(
-                &io[s * self.n..(s + 1) * self.n],
-                &mut tmp[s * self.m..(s + 1) * self.m],
+        for r0 in (0..samples).step_by(tile) {
+            let r1 = samples.min(r0 + tile);
+            self.tile_forward(
+                &mut io[r0 * self.n..r1 * self.n],
+                &mut tmp[r0 * self.m..r1 * self.m],
+                r1 - r0,
             );
         }
-        self.u.propagate_batch(tmp, samples);
         std::mem::swap(io, tmp);
+    }
+
+    /// One row tile through the layer: V* in place over `input`
+    /// (`rows × n`), Σ into the zeroed `output` rows (`rows × m`), then U
+    /// in place over `output`.
+    fn tile_forward(&self, input: &mut [Complex64], output: &mut [Complex64], rows: usize) {
+        self.v.propagate_batch(input, rows);
+        for r in 0..rows {
+            self.sigma(
+                &input[r * self.n..(r + 1) * self.n],
+                &mut output[r * self.m..(r + 1) * self.m],
+            );
+        }
+        self.u.propagate_batch(output, rows);
     }
 }
 
@@ -917,6 +969,70 @@ mod tests {
             }
         }
         assert_eq!(io, want);
+    }
+
+    #[test]
+    fn tile_rows_on_the_served_shapes() {
+        for (width, rows) in [(26, 315), (76, 107), (97, 84), (65, 126)] {
+            assert_eq!(tile_rows(width), rows, "width {width}");
+        }
+        assert_eq!(tile_rows(0), TILE_BYTES / 32);
+        assert_eq!(tile_rows(1 << 20), MODE_MAJOR_MIN_SAMPLES);
+    }
+
+    #[test]
+    fn forward_gathered_is_bitwise_across_tile_cuts_inside_a_sample() {
+        // A 3×26 layer (315-row tiles) fed 106 positions per sample: the
+        // first tile ends inside sample 2, and 3 samples leave a 3-row
+        // tail below the mode-major switch. The tiled gather must be
+        // bitwise the hand-gathered per-row walk, and the planar scratch
+        // must stay within one tile.
+        const POSITIONS: usize = 106;
+        const SAMPLES: usize = 3;
+        const WIDTH: usize = 40;
+        let (m, n) = (3usize, 26usize);
+        let tile = tile_rows(n);
+        assert_ne!(tile % POSITIONS, 0);
+        let tail = SAMPLES * POSITIONS % tile;
+        assert!(SAMPLES * POSITIONS > tile && tail > 0 && tail < MODE_MAJOR_MIN_SAMPLES);
+
+        let mut rng = StdRng::seed_from_u64(902);
+        let w = CMatrix::from_fn(m, n, |_, _| {
+            Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+        });
+        let plan: Vec<GatherSource> = (0..POSITIONS * n)
+            .map(|_| match rng.gen_range(0..8) {
+                0 => GatherSource::Dark,
+                1 => GatherSource::Reference,
+                _ => GatherSource::Input(rng.gen_range(0..WIDTH as u32)),
+            })
+            .collect();
+        let src = random_fields(SAMPLES * WIDTH, 903);
+        for style in [MeshStyle::Clements, MeshStyle::Reck] {
+            let compiled = CompiledLayer::compile(&PhotonicLayer::from_matrix(&w, style));
+            let (mut io, mut tmp) = (Vec::new(), Vec::new());
+            compiled.forward_gathered(&src, WIDTH, &plan, &mut io, &mut tmp);
+            let scratch = MODE_MAJOR_SCRATCH.with(|cell| cell.borrow().len());
+            assert!(scratch <= 2 * n * tile, "{style:?}: scratch {scratch}");
+
+            let mut want = Vec::with_capacity(SAMPLES * POSITIONS * m);
+            let mut t = Vec::new();
+            for sample in src.chunks_exact(WIDTH) {
+                for patch in plan.chunks_exact(n) {
+                    let mut row: Vec<Complex64> = patch
+                        .iter()
+                        .map(|g| match *g {
+                            GatherSource::Input(j) => sample[j as usize],
+                            GatherSource::Dark => Complex64::ZERO,
+                            GatherSource::Reference => Complex64::ONE,
+                        })
+                        .collect();
+                    compiled.forward_into(&mut row, &mut t);
+                    want.extend(row);
+                }
+            }
+            assert_eq!(live_bits(&io, m, m), live_bits(&want, m, m), "{style:?}");
+        }
     }
 
     proptest! {

@@ -268,14 +268,13 @@ fn served_cnn_predictions_are_bitwise_direct_classify() {
 
 #[test]
 fn parallel_gather_window_is_bitwise_sequential_gather() {
-    // Above the deploy layer's 16 Ki-field threshold the im2col gather is
-    // fanned out across the worker pool instead of running inline on the
-    // serving thread. The gather plan is a pure index table, so the
-    // parallel split must be bitwise invisible. An 8×10 two-channel image
-    // under a 3×3 same-pad conv gathers 80 positions × 19 sources =
-    // 1 520 fields per sample: a 64-sample window crosses the threshold
-    // on every worker shard (16 × 1 520 ≥ 16 Ki at four workers), while
-    // single-sample windows stay on the sequential path.
+    // Worker-budget invariance of the windowed conv path. The im2col
+    // gather runs tile by tile on the serving thread whatever the budget,
+    // so a multi-worker 64-sample window must be bitwise the same images
+    // served one at a time. An 8×10 two-channel image under a 3×3
+    // same-pad conv gathers 80 positions × 19 sources per sample, so the
+    // 64-sample window spans several row tiles with cuts inside samples,
+    // while a single-sample window is one tile.
     let (c, h, w) = (2usize, 8usize, 10usize);
     let net = cnn(c, h, w, 2, 3, 1, 1, 3, 70_041);
     let make_engine = || {
@@ -289,7 +288,7 @@ fn parallel_gather_window_is_bitwise_sequential_gather() {
     };
     let view = image_view(64, c, h, w, 70_042);
 
-    // Single-sample windows: 1 520 fields each, always sequential.
+    // Single-sample windows: 80 patch rows each, one tile.
     let mut seq = make_engine();
     let want: Vec<usize> = (0..64)
         .map(|i| {
@@ -298,9 +297,9 @@ fn parallel_gather_window_is_bitwise_sequential_gather() {
         })
         .collect();
 
-    // Force a multi-worker budget so the big window actually takes the
-    // pool-fanned gather (a 1-CPU dev box would otherwise stay inline);
-    // restore the ambient budget for the rest of the binary.
+    // Serve the big window under a multi-worker budget (a 1-CPU dev box
+    // would otherwise run at one); restore the ambient budget for the
+    // rest of the binary.
     let ambient = oplixnet::pool::jobs();
     oplixnet::pool::set_jobs(4);
     let got = make_engine().classify(&view).expect("windowed classify");

@@ -93,6 +93,52 @@ fn compiled_svd_layers_are_bitwise_across_styles() {
             assert_eq!(batch, want, "{m}x{n} {style:?} {WINDOW}-sample window");
         }
     }
+
+    // The conv shapes again, at windows that cross `forward_batch`'s row
+    // tiles (256 KiB / (32 B × widest mesh): 315 rows at 3×26, 107 at
+    // 6×76): one short of a tile, exactly one, one over, two plus a tail,
+    // and a tile plus a tail below the mode-major switch. Bit patterns,
+    // so signed zeros count.
+    let bits = |fields: &[Complex64]| -> Vec<(u64, u64)> {
+        fields
+            .iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    };
+    for &(m, n, tile) in &[(3usize, 26usize, 315usize), (6, 76, 107)] {
+        let w = CMatrix::from_fn(m, n, |_, _| {
+            Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+        });
+        let counts = [
+            tile - 1,
+            tile,
+            tile + 1,
+            2 * tile + 3,
+            tile + MODE_MAJOR_MIN_SAMPLES - 1,
+        ];
+        let most = 2 * tile + 3;
+        for style in [MeshStyle::Clements, MeshStyle::Reck] {
+            let layer = PhotonicLayer::from_matrix(&w, style);
+            let compiled = CompiledLayer::compile(&layer);
+            let window = random_fields(n * most, (m * 37 + n) as u64);
+            let mut tmp = Vec::new();
+            let mut want = Vec::with_capacity(m * most);
+            for row in window.chunks_exact(n) {
+                let mut reference = row.to_vec();
+                layer.forward_into(&mut reference, &mut tmp);
+                want.extend(reference);
+            }
+            for rows in counts {
+                let mut batch = window[..rows * n].to_vec();
+                compiled.forward_batch(&mut batch, &mut tmp, rows);
+                assert_eq!(
+                    bits(&batch),
+                    bits(&want[..rows * m]),
+                    "{m}x{n} {style:?} {rows}-row window"
+                );
+            }
+        }
+    }
 }
 
 /// Naive strictly-ascending-`k` f32 matmul: the scalar twin the lane
