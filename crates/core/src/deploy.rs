@@ -22,6 +22,7 @@ use oplix_nn::functional::im2col_indices;
 use oplix_nn::head::{LinearDecoderHead, UnitaryDecoderHead};
 use oplix_nn::layers::{CAvgPool2d, CConv2d, CDense, CFlatten, CRelu};
 use oplix_nn::network::Network;
+pub use oplix_photonics::compiled::Fidelity;
 use oplix_photonics::compiled::{CompiledLayer, GatherSource};
 use oplix_photonics::count::DeviceCount;
 use oplix_photonics::loss_model::OpticalLossModel;
@@ -92,8 +93,10 @@ pub use oplix_photonics::decoder::Detection as DeployedDetection;
 /// The stage carries both the *hardware description* (`layer`, with
 /// mutable phases for the noise models) and the *compiled kernel*
 /// (`compiled`, the precomputed-coefficient form every forward pass runs
-/// through). Whenever phases are mutated the kernel is recompiled; the two
-/// are bitwise interchangeable by the [`CompiledLayer`] contract.
+/// through, with the transfer matrix derived from it). Whenever phases are
+/// mutated the kernel is recompiled, transfer matrix included; at
+/// [`Fidelity::Golden`] the two are bitwise interchangeable by the
+/// [`CompiledLayer`] contract.
 #[derive(Clone, Debug)]
 pub(crate) struct OpticalStage {
     pub(crate) layer: PhotonicLayer,
@@ -205,8 +208,15 @@ impl DeployedStage {
     /// returned. This is the *one* per-stage transform in the codebase —
     /// the sequential walk ([`DeployedFcnn::forward_staged`]) and the
     /// stage-pipelined walk both call it verbatim, which is what makes
-    /// the two bitwise identical by construction.
-    fn apply(&self, buf: &mut WindowBuffers, width: usize, samples: usize) -> usize {
+    /// the two bitwise identical by construction. Optical stages run their
+    /// compiled layer at `fidelity`.
+    fn apply(
+        &self,
+        buf: &mut WindowBuffers,
+        width: usize,
+        samples: usize,
+        fidelity: Fidelity,
+    ) -> usize {
         let WindowBuffers { cur, nxt, aux } = buf;
         let (out_width, relu_after) = match self {
             DeployedStage::Mesh(st) => {
@@ -229,15 +239,21 @@ impl DeployedStage {
                     dst[padded] = Complex64::ONE;
                 }
                 std::mem::swap(cur, nxt);
-                st.compiled.forward_batch(cur, nxt, samples);
+                st.compiled.forward_batch_at(fidelity, cur, nxt, samples);
                 (st.layer.output_dim(), st.relu_after)
             }
             DeployedStage::Conv(st) => {
                 // im2col: gather every output position's patch (bias
-                // on the reference mode) tile by tile and push the patch
-                // rows through the compiled mesh.
-                st.compiled
-                    .forward_gathered(&cur[..samples * width], width, &st.plan, nxt, aux);
+                // on the reference mode) and push the patch rows through
+                // the compiled layer.
+                st.compiled.forward_gathered(
+                    fidelity,
+                    &cur[..samples * width],
+                    width,
+                    &st.plan,
+                    nxt,
+                    aux,
+                );
                 // Mesh rows come back position-major `[P][O]`; the
                 // software conv layout is channel-major `[O, H'·W']`.
                 cur.clear();
@@ -295,10 +311,19 @@ impl DeployedStage {
 /// Cloning copies every mesh phase and attenuator — cheap relative to
 /// decomposition, which is what makes per-batch noise-injection sessions
 /// (see [`crate::engine::InferenceEngine::noise_session`]) affordable.
+///
+/// Every optical stage serves through the kernel of one [`Fidelity`]
+/// tier, [`Fidelity::Transfer`] unless
+/// [`InferenceEngine::set_fidelity`](crate::engine::InferenceEngine::set_fidelity)
+/// says otherwise. Within a tier every entry point is bitwise interchangeable;
+/// [`Fidelity::Golden`] is the reference the hardware-accounting and
+/// tolerance pins use.
 #[derive(Clone, Debug)]
 pub struct DeployedFcnn {
     stages: Vec<DeployedStage>,
     detection: DeployedDetection,
+    /// Which kernel every optical stage serves through.
+    fidelity: Fidelity,
 }
 
 /// Errors from deployment.
@@ -519,7 +544,11 @@ impl DeployedFcnn {
                 return Err(DeployError::OddDifferentialOutput { width });
             }
         }
-        Ok(DeployedFcnn { stages, detection })
+        Ok(DeployedFcnn {
+            stages,
+            detection,
+            fidelity: Fidelity::default(),
+        })
     }
 
     /// The complex fan-in of the deployed pipeline: the flattened field
@@ -542,6 +571,18 @@ impl DeployedFcnn {
     /// The detection scheme the pipeline reads out through.
     pub fn detection(&self) -> DeployedDetection {
         self.detection
+    }
+
+    /// The kernel tier every optical stage serves through:
+    /// [`Fidelity::Transfer`] unless set otherwise.
+    pub(crate) fn fidelity(&self) -> Fidelity {
+        self.fidelity
+    }
+
+    /// Switches every optical stage to `fidelity`. Each stage carries the
+    /// kernels of both tiers, so switching costs nothing.
+    pub(crate) fn set_fidelity(&mut self, fidelity: Fidelity) {
+        self.fidelity = fidelity;
     }
 
     /// Field-level inference of one sample into caller-owned buffers:
@@ -581,8 +622,8 @@ impl DeployedFcnn {
 
     /// Field-level inference of a *window* of rows `start..end` of a
     /// `[N, D]` complex view through the compiled kernels, into
-    /// caller-owned buffers: one [`CompiledLayer::forward_batch`] call per
-    /// optical stage covers the whole window, instead of re-walking the
+    /// caller-owned buffers: one [`CompiledLayer::forward_batch_at`] call
+    /// per optical stage covers the whole window, instead of re-walking the
     /// stage list per sample. `logits` is cleared and filled row-major
     /// (`(end − start) × logit_dim` detected scores).
     ///
@@ -710,7 +751,7 @@ impl DeployedFcnn {
     fn forward_staged(&self, buf: &mut WindowBuffers, samples: usize, logits: &mut Vec<f64>) {
         let mut width = self.input_dim();
         for stage in &self.stages {
-            width = stage.apply(buf, width, samples);
+            width = stage.apply(buf, width, samples, self.fidelity);
         }
         for row in buf.cur.chunks_exact(width.max(1)) {
             detect(self.detection, row, logits);
@@ -816,9 +857,10 @@ impl DeployedFcnn {
     }
 
     /// Injects Gaussian phase noise into every mesh (thermal crosstalk /
-    /// fabrication imprecision study) and recompiles the affected kernels
-    /// so the serving path sees the perturbed phases. Electronic stages
-    /// (pooling) carry no phases and are untouched.
+    /// fabrication imprecision study) and recompiles the affected kernels,
+    /// transfer matrices included, so both fidelity tiers see the
+    /// perturbed phases. Electronic stages (pooling) carry no phases and
+    /// are untouched.
     pub fn inject_phase_noise<R: Rng>(&mut self, sigma: f64, rng: &mut R) {
         for stage in &mut self.stages {
             let (layer, compiled) = match stage {
@@ -834,7 +876,7 @@ impl DeployedFcnn {
     }
 
     /// Applies one random-walk drift step to every mesh phase and
-    /// recompiles the affected kernels. Unlike
+    /// recompiles the affected kernels, transfer matrices included. Unlike
     /// [`DeployedFcnn::inject_phase_noise`] inside a scoped session, drift
     /// *accumulates*: each call moves the deployment further from its
     /// calibrated point, and the only way back is re-deploying from clean
@@ -978,7 +1020,7 @@ impl DeployedFcnn {
         // long span settles into a fixed set of buffers.
         let spares: Mutex<Vec<Vec<Complex64>>> = Mutex::new(Vec::new());
         let input_width = self.input_dim();
-        let detection = self.detection;
+        let (detection, fidelity) = (self.detection, self.fidelity);
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(nseg - 1);
@@ -997,7 +1039,7 @@ impl DeployedFcnn {
                             let mut width = msg.width;
                             for (i, st) in seg_stages.iter().enumerate() {
                                 let clock = Instant::now();
-                                width = st.apply(&mut buf, width, msg.samples);
+                                width = st.apply(&mut buf, width, msg.samples, fidelity);
                                 occ[i].windows += 1;
                                 occ[i].busy_nanos += clock.elapsed().as_nanos() as u64;
                             }
@@ -1059,7 +1101,7 @@ impl DeployedFcnn {
                     let mut width = input_width;
                     for (i, st) in stages[..bounds[1]].iter().enumerate() {
                         let clock = Instant::now();
-                        width = st.apply(&mut buf, width, hi - lo);
+                        width = st.apply(&mut buf, width, hi - lo, fidelity);
                         occ[i].windows += 1;
                         occ[i].busy_nanos += clock.elapsed().as_nanos() as u64;
                     }
@@ -1318,8 +1360,9 @@ impl DecompositionKey {
 }
 
 /// What the deployment cache stores per decomposition: the hardware
-/// description (meshes + attenuators) *and* its compiled kernel, so a
-/// cache hit skips both the SVD decomposition and the coefficient bake.
+/// description (meshes + attenuators) *and* its compiled kernel with the
+/// derived transfer matrix, so a cache hit skips the SVD decomposition,
+/// the coefficient bake and the transfer derivation.
 #[derive(Clone, Debug)]
 struct DeployedKernels {
     layer: PhotonicLayer,
@@ -1343,7 +1386,7 @@ impl DeployedKernels {
     }
 
     /// Approximate resident size: meshes (phases dominate) plus the
-    /// compiled coefficient arrays.
+    /// compiled coefficient arrays and transfer matrix.
     fn approx_bytes(&self) -> usize {
         let mesh_bytes = |m: &oplix_photonics::mesh::MziMesh| {
             m.mzi_count() * std::mem::size_of::<oplix_photonics::devices::Mzi>()
@@ -1370,7 +1413,7 @@ pub struct DeployCacheStats {
     /// [`clear_deploy_cache`]).
     pub evictions: u64,
     /// Approximate bytes currently resident (keys + meshes + compiled
-    /// kernels).
+    /// kernels and their transfer matrices).
     pub resident_bytes: usize,
 }
 

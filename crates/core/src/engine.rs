@@ -54,7 +54,9 @@
 //! assert_eq!(engine.stats().samples, 4);
 //! ```
 
-use crate::deploy::{ChipReport, DeployedDetection, DeployedFcnn, StageOccupancy, WindowBuffers};
+use crate::deploy::{
+    ChipReport, DeployedDetection, DeployedFcnn, Fidelity, StageOccupancy, WindowBuffers,
+};
 use crate::error::Error;
 use oplix_linalg::Complex64;
 use oplix_nn::ctensor::CTensor;
@@ -389,6 +391,52 @@ impl InferenceEngine {
     /// How many workers batched queries shard across.
     pub fn num_workers(&self) -> usize {
         self.workers.len()
+    }
+
+    /// Serves every optical stage through `fidelity`'s kernel:
+    /// [`Fidelity::Transfer`] (the default) applies each stage's
+    /// implemented transfer matrix, [`Fidelity::Golden`] walks the meshes
+    /// MZI by MZI. Within one tier every entry point stays bitwise
+    /// interchangeable; across tiers logits agree up to rounding.
+    ///
+    /// ```
+    /// use oplixnet::engine::InferenceEngine;
+    /// use oplixnet::zoo::{build_fcnn, FcnnConfig, ModelVariant};
+    /// use oplixnet::deploy::{DeployedDetection, Fidelity};
+    /// use oplix_photonics::decoder::DecoderKind;
+    /// use oplix_photonics::svd_map::MeshStyle;
+    /// use rand::{rngs::StdRng, SeedableRng};
+    ///
+    /// let mut rng = StdRng::seed_from_u64(1);
+    /// let net = build_fcnn(
+    ///     &FcnnConfig { input: 6, hidden: 5, classes: 2 },
+    ///     ModelVariant::Split(DecoderKind::Merge),
+    ///     &mut rng,
+    /// );
+    /// let make = || InferenceEngine::from_network(
+    ///     &net, DeployedDetection::Differential, MeshStyle::Clements,
+    /// ).expect("FCNN deploys");
+    /// let x = [oplix_linalg::Complex64::new(0.5, -0.25); 6];
+    ///
+    /// let fast = make().predict(&x).expect("predict");
+    /// let golden = make().with_fidelity(Fidelity::Golden).predict(&x).expect("predict");
+    /// for (f, g) in fast.iter().zip(&golden) {
+    ///     assert!((f - g).abs() <= 1e-9 * g.abs().max(1.0));
+    /// }
+    /// ```
+    pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
+        self.set_fidelity(fidelity);
+        self
+    }
+
+    /// In-place form of [`InferenceEngine::with_fidelity`].
+    pub fn set_fidelity(&mut self, fidelity: Fidelity) {
+        self.deployed.set_fidelity(fidelity);
+    }
+
+    /// The kernel tier the engine serves through.
+    pub fn fidelity(&self) -> Fidelity {
+        self.deployed.fidelity()
     }
 
     /// Opts batched spans into the **stage-pipelined** walk: instead of

@@ -143,7 +143,7 @@ pub mod zoo;
 
 pub use deploy::{
     clear_deploy_cache, deploy_cache_stats, ChipReport, DeployCacheStats, DeployedDetection,
-    DeployedFcnn, StageOccupancy,
+    DeployedFcnn, Fidelity, StageOccupancy,
 };
 pub use engine::{
     Confidence, DriftSession, EngineStats, InferenceEngine, StageStats, StreamingReport,

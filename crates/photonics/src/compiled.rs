@@ -40,6 +40,18 @@
 //! [`PhotonicLayer`] hardware description (device counts, chip reports,
 //! area) still counts every physical MZI. [`CompiledMesh::compile`] is
 //! the unpruned case (every output live).
+//!
+//! **Fidelity tiers.** A linear layer *is* its `m×n` transfer matrix
+//! `T`, so [`CompiledLayer::compile`] also derives `T` — by pushing
+//! the `n` canonical basis vectors through the layer's own golden
+//! [`CompiledLayer::forward_batch`], the rule [`CompiledMesh::unitary`]
+//! uses — and stores it planar beside the meshes. Every recompile after a
+//! phase change therefore carries a `T` matching the current phases.
+//! [`Fidelity::Transfer`] serves rows as `y = T·x` (one complex
+//! multiply–add per matrix entry instead of one butterfly per MZI);
+//! [`Fidelity::Golden`] is the MZI-by-MZI walk, bitwise the interpreted
+//! layer, and stays the reference `Transfer` is tolerance-pinned against.
+//! Within each tier, lane sweeps and scalar tails are bitwise equal.
 
 use crate::devices::Mzi;
 use crate::mesh::MziMesh;
@@ -54,7 +66,7 @@ std::thread_local! {
     /// after warm-up, batched propagation allocates nothing per window.
     /// The [`CompiledLayer`] entry points propagate one row tile at a
     /// time (see [`tile_rows`]), so on the serving path it never outgrows
-    /// one tile.
+    /// one tile. The transfer sweep stages one lane chunk of rows in it.
     static MODE_MAJOR_SCRATCH: std::cell::RefCell<Vec<f64>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -83,6 +95,26 @@ const TILE_BYTES: usize = 256 * 1024;
 /// 126 (32×65).
 fn tile_rows(width: usize) -> usize {
     MODE_MAJOR_MIN_SAMPLES.max(TILE_BYTES / (32 * width.max(1)))
+}
+
+/// Outputs the transfer sweep accumulates per register block: with re and
+/// im accumulators this keeps eight lane vectors live, and each input lane
+/// is loaded once per block instead of once per output.
+const TRANSFER_BLOCK: usize = 4;
+
+/// Which kernel a [`CompiledLayer`] runs its rows through.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Fidelity {
+    /// The MZI-by-MZI mesh walk (`V*` → Σ → `U`): bitwise the interpreted
+    /// [`PhotonicLayer::forward_into`], and the reference every faster
+    /// tier is pinned against.
+    Golden,
+    /// One complex matrix–vector product per row through the layer's
+    /// implemented transfer matrix `T` (derived from the golden walk at
+    /// compile time). Agrees with [`Fidelity::Golden`] up to rounding;
+    /// bitwise only against itself.
+    #[default]
+    Transfer,
 }
 
 /// One MZI butterfly swept across a whole planar sample window: the four
@@ -623,23 +655,42 @@ pub struct CompiledLayer {
     attenuations: Vec<f64>,
     v: CompiledMesh,
     u: CompiledMesh,
+    /// The implemented transfer matrix `T`, planar and output-major: entry
+    /// `(i, j)` is `t_re[i·n + j] + i·t_im[i·n + j]`.
+    t_re: Vec<f64>,
+    t_im: Vec<f64>,
 }
 
 impl CompiledLayer {
-    /// Bakes both meshes and the attenuator column of an SVD-mapped layer.
+    /// Bakes both meshes and the attenuator column of an SVD-mapped layer,
+    /// then derives the layer's transfer matrix `T` from them: column `j`
+    /// of `T` is the golden walk's output for the canonical basis vector
+    /// `e_j`, so it matches the phases the layer is compiled from.
     pub fn compile(layer: &PhotonicLayer) -> Self {
-        CompiledLayer {
-            m: layer.output_dim(),
-            n: layer.input_dim(),
+        let (m, n) = (layer.output_dim(), layer.input_dim());
+        let mut compiled = CompiledLayer {
+            m,
+            n,
             gain: layer.gain(),
             attenuations: layer.attenuators().iter().map(|a| a.coefficient).collect(),
             // Σ reads only V*'s first min(m, n) outputs.
-            v: CompiledMesh::compile_live(
-                layer.v_mesh(),
-                layer.output_dim().min(layer.input_dim()),
-            ),
+            v: CompiledMesh::compile_live(layer.v_mesh(), m.min(n)),
             u: CompiledMesh::compile(layer.u_mesh()),
+            t_re: Vec::new(),
+            t_im: Vec::new(),
+        };
+        // Row `j` of the golden batch over the basis is `T·e_j`, i.e.
+        // column `j` of `T`.
+        let mut basis = vec![Complex64::ZERO; n * n];
+        for j in 0..n {
+            basis[j * n + j] = Complex64::ONE;
         }
+        compiled.forward_batch(&mut basis, &mut Vec::new(), n);
+        (compiled.t_re, compiled.t_im) = (0..m * n)
+            .map(|k| basis[(k % n) * m + k / n])
+            .map(|t| (t.re, t.im))
+            .unzip();
+        compiled
     }
 
     /// Output dimension `m`.
@@ -654,11 +705,13 @@ impl CompiledLayer {
         self.n
     }
 
-    /// Approximate resident size in bytes, for cache accounting.
+    /// Approximate resident size in bytes, for cache accounting: both
+    /// meshes, the attenuators and the `16·m·n` bytes of `T`.
     pub fn approx_bytes(&self) -> usize {
         self.v.approx_bytes()
             + self.u.approx_bytes()
-            + self.attenuations.len() * std::mem::size_of::<f64>()
+            + (self.attenuations.len() + self.t_re.len() + self.t_im.len())
+                * std::mem::size_of::<f64>()
             + std::mem::size_of::<Self>()
     }
 
@@ -696,18 +749,22 @@ impl CompiledLayer {
     /// `src_width` fields wide) is expanded into `plan.len() / input_dim`
     /// gathered rows — one per convolution output position. `plan` maps
     /// each gathered mode to its source: an input field, a dark
-    /// (zero-padding) mode, or the always-on reference (bias) mode.
+    /// (zero-padding) mode, or the always-on reference (bias) mode. Row
+    /// `r` is position `r % positions` of sample `r / positions`.
     ///
-    /// The rows are gathered one tile at a time into `tmp` and each tile
-    /// runs straight through the compiled layer into its output rows, so
-    /// the full `samples × positions × input_dim` patch buffer never
-    /// exists. Row `r` is position `r % positions` of sample
-    /// `r / positions`; a tile may start or end inside a sample.
+    /// The full `samples × positions × input_dim` patch buffer never
+    /// exists. At [`Fidelity::Golden`] the rows are gathered one tile at a
+    /// time into `tmp` and each tile runs straight through the meshes into
+    /// its output rows (a tile may start or end inside a sample). At
+    /// [`Fidelity::Transfer`] `tmp` holds the window with a dark and a
+    /// reference field appended to every sample, and the transfer sweep
+    /// gathers each lane chunk of rows straight into its planar registers'
+    /// staging.
     ///
     /// On exit `io` holds `samples × rows_per_sample × output_dim` fields,
-    /// row-major in `(sample, row)` order; `tmp` is caller-owned scratch.
-    /// Bitwise identical to gathering each row by hand and running it
-    /// through [`CompiledLayer::forward_into`].
+    /// row-major in `(sample, row)` order. Bitwise identical to gathering
+    /// each row by hand and running it through
+    /// [`CompiledLayer::forward_batch_at`] at the same fidelity.
     ///
     /// # Panics
     ///
@@ -716,6 +773,7 @@ impl CompiledLayer {
     /// `src_width`, or a plan entry indexes past `src_width`.
     pub fn forward_gathered(
         &self,
+        fidelity: Fidelity,
         src: &[Complex64],
         src_width: usize,
         plan: &[GatherSource],
@@ -733,10 +791,33 @@ impl CompiledLayer {
         let (n, m) = (self.n, self.m);
         let positions = plan.len() / n;
         let rows = src.len() / src_width * positions;
-        let tile = tile_rows(n.max(m));
         io.clear();
         io.resize(rows * m, Complex64::ZERO);
         tmp.clear();
+        if fidelity == Fidelity::Transfer {
+            // Past the sample width a padded sample holds the dark and
+            // reference fields, so an out-of-range tap would not panic on
+            // its own.
+            assert!(
+                plan.iter()
+                    .all(|g| !matches!(*g, GatherSource::Input(j) if j as usize >= src_width)),
+                "gather plan indexes past the sample width"
+            );
+            for sample in src.chunks_exact(src_width) {
+                tmp.extend_from_slice(sample);
+                tmp.extend([Complex64::ZERO, Complex64::ONE]);
+            }
+            let gathered = GatheredRows {
+                padded: tmp,
+                width: src_width + 2,
+                plan,
+                n,
+                positions,
+            };
+            self.transfer(&gathered, io, rows);
+            return;
+        }
+        let tile = tile_rows(n.max(m));
         tmp.resize(tile.min(rows) * n, Complex64::ZERO);
         for r0 in (0..rows).step_by(tile) {
             let r1 = rows.min(r0 + tile);
@@ -753,40 +834,71 @@ impl CompiledLayer {
         }
     }
 
-    /// Compiled forward pass over a window of `samples` contiguous
-    /// samples: `io` holds `samples × n` input fields on entry and
-    /// `samples × m` output fields on exit. Bitwise identical to running
-    /// each sample through [`CompiledLayer::forward_into`].
-    ///
-    /// The window runs one row tile at a time (V*, Σ, then U per tile), so
-    /// each tile's planar sweeps stay cache-resident however large the
-    /// window is. Every row still runs the identical operation sequence;
-    /// tiling only changes which rows share a lane sweep.
+    /// Golden compiled forward pass over a window of `samples` contiguous
+    /// samples: [`CompiledLayer::forward_batch_at`] at
+    /// [`Fidelity::Golden`], bitwise identical to running each sample
+    /// through [`CompiledLayer::forward_into`].
     ///
     /// # Panics
     ///
     /// Panics if `io.len() != samples * self.input_dim()`.
     pub fn forward_batch(&self, io: &mut Vec<Complex64>, tmp: &mut Vec<Complex64>, samples: usize) {
+        self.forward_batch_at(Fidelity::Golden, io, tmp, samples);
+    }
+
+    /// Compiled forward pass over a window of `samples` contiguous
+    /// samples at `fidelity`: `io` holds `samples × n` input fields on
+    /// entry and `samples × m` output fields on exit; `tmp` is
+    /// caller-owned scratch. Every row runs the identical operation
+    /// sequence wherever it sits in the window.
+    ///
+    /// At [`Fidelity::Golden`] the window runs one row tile at a time (V*,
+    /// Σ, then U per tile), so each tile's planar sweeps stay
+    /// cache-resident however large the window is; tiling only changes
+    /// which rows share a lane sweep. At [`Fidelity::Transfer`] the sweep
+    /// stages one lane chunk of rows at a time and needs no tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `io.len() != samples * self.input_dim()`.
+    pub fn forward_batch_at(
+        &self,
+        fidelity: Fidelity,
+        io: &mut Vec<Complex64>,
+        tmp: &mut Vec<Complex64>,
+        samples: usize,
+    ) {
         assert_eq!(
             io.len(),
             samples * self.n,
             "batch length must be samples * layer fan-in"
         );
-        let tile = tile_rows(self.n.max(self.m));
         tmp.clear();
         tmp.resize(samples * self.m, Complex64::ZERO);
-        for r0 in (0..samples).step_by(tile) {
-            let r1 = samples.min(r0 + tile);
-            self.tile_forward(
-                &mut io[r0 * self.n..r1 * self.n],
-                &mut tmp[r0 * self.m..r1 * self.m],
-                r1 - r0,
+        if fidelity == Fidelity::Transfer {
+            self.transfer(
+                &DenseRows {
+                    fields: io,
+                    n: self.n,
+                },
+                tmp,
+                samples,
             );
+        } else {
+            let tile = tile_rows(self.n.max(self.m));
+            for r0 in (0..samples).step_by(tile) {
+                let r1 = samples.min(r0 + tile);
+                self.tile_forward(
+                    &mut io[r0 * self.n..r1 * self.n],
+                    &mut tmp[r0 * self.m..r1 * self.m],
+                    r1 - r0,
+                );
+            }
         }
         std::mem::swap(io, tmp);
     }
 
-    /// One row tile through the layer: V* in place over `input`
+    /// One row tile through the golden walk: V* in place over `input`
     /// (`rows × n`), Σ into the zeroed `output` rows (`rows × m`), then U
     /// in place over `output`.
     fn tile_forward(&self, input: &mut [Complex64], output: &mut [Complex64], rows: usize) {
@@ -798,6 +910,200 @@ impl CompiledLayer {
             );
         }
         self.u.propagate_batch(output, rows);
+    }
+
+    /// `output = T·x` for rows `0..rows` of `src` (`output` is `rows × m`,
+    /// sample-major), dispatched to the widest lane tier the CPU has, as
+    /// [`CompiledMesh::propagate_batch`] is.
+    fn transfer(&self, src: &impl RowFields, output: &mut [Complex64], rows: usize) {
+        MODE_MAJOR_SCRATCH.with(|cell| {
+            let mut planar = cell.borrow_mut();
+            // One lane chunk of planar inputs at the widest tier.
+            let len = 2 * self.n * oplix_linalg::lanes::F64x8::LANES;
+            if planar.len() < len {
+                planar.resize(len, 0.0);
+            }
+            #[cfg(target_arch = "x86_64")]
+            {
+                if oplix_linalg::lanes::avx512f_available() {
+                    // SAFETY: AVX-512F was just verified at runtime; the
+                    // clone is the identical portable sweep at 8 lanes.
+                    unsafe { self.transfer_avx512(src, output, rows, &mut planar) };
+                    return;
+                }
+                if oplix_linalg::lanes::avx2_available() {
+                    // SAFETY: AVX2 was just verified at runtime; the clone
+                    // is the identical portable sweep at 4 lanes.
+                    unsafe { self.transfer_avx2(src, output, rows, &mut planar) };
+                    return;
+                }
+            }
+            self.transfer_rows::<F64x4>(src, output, rows, &mut planar);
+        });
+    }
+
+    // SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the
+    // only caller gates on `avx512f_available()`. The body is the same
+    // portable `transfer_rows`, monomorphised at 8 lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn transfer_avx512(
+        &self,
+        src: &impl RowFields,
+        output: &mut [Complex64],
+        rows: usize,
+        planar: &mut [f64],
+    ) {
+        self.transfer_rows::<oplix_linalg::lanes::F64x8>(src, output, rows, planar);
+    }
+
+    // SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the
+    // only caller gates on `avx2_available()`. The body is the same
+    // portable `transfer_rows`, monomorphised at 4 lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transfer_avx2(
+        &self,
+        src: &impl RowFields,
+        output: &mut [Complex64],
+        rows: usize,
+        planar: &mut [f64],
+    ) {
+        self.transfer_rows::<F64x4>(src, output, rows, planar);
+    }
+
+    /// The transfer sweep, generic over the lane width the dispatch tier
+    /// selected. Each full chunk of `L = V::LANES` rows is staged planar
+    /// (`planar[2j·L..]` holds input `j`'s re parts over the chunk, the
+    /// next `L` doubles its im parts), then every output accumulates
+    /// `acc + t_ij · x_j` over strictly ascending `j` from zero, a
+    /// register block of outputs at a time ([`cmul_splat_lhs`], then
+    /// element-wise adds). The remainder rows run the identical scalar
+    /// [`Complex64`] expression per output, so every row's result is
+    /// bitwise the same wherever it sits in the window.
+    #[inline(always)]
+    fn transfer_rows<V: Lane<f64>>(
+        &self,
+        src: &impl RowFields,
+        output: &mut [Complex64],
+        rows: usize,
+        planar: &mut [f64],
+    ) {
+        let (m, n, lanes) = (self.m, self.n, V::LANES);
+        let planar = &mut planar[..2 * n * lanes];
+        let full = rows - rows % lanes;
+        for c in (0..full).step_by(lanes) {
+            for l in 0..lanes {
+                src.each(c + l, |j, x| {
+                    planar[2 * j * lanes + l] = x.re;
+                    planar[(2 * j + 1) * lanes + l] = x.im;
+                });
+            }
+            let out = &mut output[c * m..(c + lanes) * m];
+            let mut o = 0;
+            while o + TRANSFER_BLOCK <= m {
+                self.transfer_block::<V, TRANSFER_BLOCK>(planar, out, o);
+                o += TRANSFER_BLOCK;
+            }
+            match m - o {
+                1 => self.transfer_block::<V, 1>(planar, out, o),
+                2 => self.transfer_block::<V, 2>(planar, out, o),
+                3 => self.transfer_block::<V, 3>(planar, out, o),
+                _ => {}
+            }
+        }
+        for (r, y) in (full..rows).zip(output[full * m..rows * m].chunks_exact_mut(m)) {
+            y.fill(Complex64::ZERO);
+            src.each(r, |j, x| {
+                for (i, acc) in y.iter_mut().enumerate() {
+                    let t = Complex64::new(self.t_re[i * n + j], self.t_im[i * n + j]);
+                    *acc += t * x;
+                }
+            });
+        }
+    }
+
+    /// Outputs `o..o + B` of one planar lane chunk: `B` accumulators live
+    /// in registers across the whole `j` sweep, and each input lane is
+    /// loaded once for all `B` of them. Writes the chunk's `L` rows of
+    /// those outputs into `out` (`L × m`, sample-major).
+    #[inline(always)]
+    fn transfer_block<V: Lane<f64>, const B: usize>(
+        &self,
+        planar: &[f64],
+        out: &mut [Complex64],
+        o: usize,
+    ) {
+        let (m, n, lanes) = (self.m, self.n, V::LANES);
+        let t_re: [&[f64]; B] = std::array::from_fn(|b| &self.t_re[(o + b) * n..][..n]);
+        let t_im: [&[f64]; B] = std::array::from_fn(|b| &self.t_im[(o + b) * n..][..n]);
+        let mut acc_re = [V::splat(0.0); B];
+        let mut acc_im = [V::splat(0.0); B];
+        for (j, x) in planar.chunks_exact(2 * lanes).enumerate() {
+            let xr = V::load(x);
+            let xi = V::load(&x[lanes..]);
+            for b in 0..B {
+                let (pr, pi) = cmul_splat_lhs(t_re[b][j], t_im[b][j], xr, xi);
+                acc_re[b] = acc_re[b] + pr;
+                acc_im[b] = acc_im[b] + pi;
+            }
+        }
+        for (l, row) in out.chunks_exact_mut(m).enumerate() {
+            for b in 0..B {
+                row[o + b] = Complex64::new(acc_re[b].get(l), acc_im[b].get(l));
+            }
+        }
+    }
+}
+
+/// Where the transfer sweep reads each row's input fields from.
+trait RowFields {
+    /// Calls `f(j, x_j)` for every input field of row `r`, `j` strictly
+    /// ascending.
+    fn each(&self, r: usize, f: impl FnMut(usize, Complex64));
+}
+
+/// Contiguous sample-major rows, `n` fields each.
+struct DenseRows<'a> {
+    fields: &'a [Complex64],
+    n: usize,
+}
+
+impl RowFields for DenseRows<'_> {
+    #[inline(always)]
+    fn each(&self, r: usize, mut f: impl FnMut(usize, Complex64)) {
+        for (j, &x) in self.fields[r * self.n..][..self.n].iter().enumerate() {
+            f(j, x);
+        }
+    }
+}
+
+/// im2col rows read through a gather plan: `padded` holds each source
+/// sample followed by one dark (zero) and one reference (unit) field, so
+/// every plan entry is a plain index into its sample.
+struct GatheredRows<'a> {
+    padded: &'a [Complex64],
+    /// Padded sample width: source width + 2.
+    width: usize,
+    plan: &'a [GatherSource],
+    n: usize,
+    positions: usize,
+}
+
+impl RowFields for GatheredRows<'_> {
+    #[inline(always)]
+    fn each(&self, r: usize, mut f: impl FnMut(usize, Complex64)) {
+        let (s, p) = (r / self.positions, r % self.positions);
+        let sample = &self.padded[s * self.width..][..self.width];
+        let dark = self.width - 2;
+        for (j, g) in self.plan[p * self.n..][..self.n].iter().enumerate() {
+            let k = match *g {
+                GatherSource::Input(i) => i as usize,
+                GatherSource::Dark => dark,
+                GatherSource::Reference => dark + 1,
+            };
+            f(j, sample[k]);
+        }
     }
 }
 
@@ -862,6 +1168,35 @@ mod tests {
         let mut batch = input;
         pruned.propagate_batch(&mut batch, samples);
         [&want, &per_sample, &batch].map(|f| live_bits(f, n, live))
+    }
+
+    /// Every `n`-wide row of `rows` run on its own: through
+    /// [`CompiledLayer::forward_into`] at Golden, as a one-row window (all
+    /// scalar tail) at Transfer.
+    fn row_by_row(
+        compiled: &CompiledLayer,
+        fidelity: Fidelity,
+        rows: &[Complex64],
+    ) -> Vec<Complex64> {
+        let mut out = Vec::with_capacity(rows.len() / compiled.n * compiled.m);
+        let mut tmp = Vec::new();
+        for row in rows.chunks_exact(compiled.n) {
+            let mut io = row.to_vec();
+            match fidelity {
+                Fidelity::Golden => compiled.forward_into(&mut io, &mut tmp),
+                Fidelity::Transfer => compiled.forward_batch_at(fidelity, &mut io, &mut tmp, 1),
+            }
+            out.extend(io);
+        }
+        out
+    }
+
+    fn random_layer(m: usize, n: usize, style: MeshStyle, seed: u64) -> CompiledLayer {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w = CMatrix::from_fn(m, n, |_, _| {
+            Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+        });
+        CompiledLayer::compile(&PhotonicLayer::from_matrix(&w, style))
     }
 
     #[test]
@@ -952,23 +1287,90 @@ mod tests {
             GatherSource::Reference,
         ];
         let src = random_fields(3 * 4, 901); // three 4-wide samples
-        let (mut io, mut tmp) = (Vec::new(), Vec::new());
-        compiled.forward_gathered(&src, 4, &plan, &mut io, &mut tmp);
+        let mut rows = Vec::new();
+        for sample in src.chunks_exact(4) {
+            rows.extend([sample[2], Complex64::ZERO, Complex64::ONE]);
+            rows.extend([sample[0], sample[3], Complex64::ONE]);
+        }
+        for fidelity in [Fidelity::Golden, Fidelity::Transfer] {
+            let (mut io, mut tmp) = (Vec::new(), Vec::new());
+            compiled.forward_gathered(fidelity, &src, 4, &plan, &mut io, &mut tmp);
+            assert_eq!(io, row_by_row(&compiled, fidelity, &rows), "{fidelity:?}");
+        }
+    }
 
-        let mut want = Vec::new();
-        for s in 0..3 {
-            let sample = &src[s * 4..(s + 1) * 4];
-            for row in [
-                vec![sample[2], Complex64::ZERO, Complex64::ONE],
-                vec![sample[0], sample[3], Complex64::ONE],
-            ] {
-                let mut io_row = row;
-                let mut t = Vec::new();
-                compiled.forward_into(&mut io_row, &mut t);
-                want.extend(io_row);
+    #[test]
+    #[should_panic(expected = "gather plan indexes past the sample width")]
+    fn transfer_gather_rejects_out_of_range_taps() {
+        let compiled = random_layer(2, 2, MeshStyle::Clements, 904);
+        let plan = [GatherSource::Input(4), GatherSource::Reference];
+        let src = random_fields(4, 905);
+        let (mut io, mut tmp) = (Vec::new(), Vec::new());
+        compiled.forward_gathered(Fidelity::Transfer, &src, 4, &plan, &mut io, &mut tmp);
+    }
+
+    #[test]
+    fn transfer_matrix_is_the_golden_walk_of_the_basis() {
+        // Column j of T is bitwise the golden layer's output for e_j, and
+        // T reproduces the weight the layer was decomposed from.
+        for (m, n) in [(1usize, 1usize), (3, 26), (5, 2), (6, 76)] {
+            let mut rng = StdRng::seed_from_u64((m * 100 + n) as u64);
+            let w = CMatrix::from_fn(m, n, |_, _| {
+                Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+            });
+            for style in [MeshStyle::Clements, MeshStyle::Reck] {
+                let layer = PhotonicLayer::from_matrix(&w, style);
+                let compiled = CompiledLayer::compile(&layer);
+                let t = |i: usize, j: usize| {
+                    Complex64::new(compiled.t_re[i * n + j], compiled.t_im[i * n + j])
+                };
+                let mut tmp = Vec::new();
+                for j in 0..n {
+                    let mut e = vec![Complex64::ZERO; n];
+                    e[j] = Complex64::ONE;
+                    layer.forward_into(&mut e, &mut tmp);
+                    for (i, z) in e.iter().enumerate() {
+                        assert_eq!(t(i, j), *z, "{m}x{n} {style:?} ({i}, {j})");
+                        assert!((t(i, j) - w[(i, j)]).norm_sqr().sqrt() < 1e-9);
+                    }
+                }
             }
         }
-        assert_eq!(io, want);
+    }
+
+    #[test]
+    fn transfer_lane_sweep_is_bitwise_the_scalar_tail() {
+        // Output counts covering every register-block remainder (m % 4 of
+        // 0..=3) and input counts on both sides of one lane: every window
+        // up to two chunks of the widest tier plus a tail must be bitwise
+        // its rows run one at a time (pure scalar tail).
+        const WIDEST: usize = oplix_linalg::lanes::F64x8::LANES;
+        for (m, n) in [(1usize, 3usize), (2, 9), (3, 26), (4, 4), (5, 11), (7, 2)] {
+            let compiled = random_layer(m, n, MeshStyle::Clements, (m * 10 + n) as u64);
+            let input = random_fields((2 * WIDEST + 3) * n, 906);
+            let want = row_by_row(&compiled, Fidelity::Transfer, &input);
+            for rows in 0..=2 * WIDEST + 3 {
+                let (mut io, mut tmp) = (input[..rows * n].to_vec(), Vec::new());
+                compiled.forward_batch_at(Fidelity::Transfer, &mut io, &mut tmp, rows);
+                assert_eq!(
+                    live_bits(&io, m, m),
+                    live_bits(&want[..rows * m], m, m),
+                    "{m}x{n} window {rows}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn approx_bytes_charges_the_transfer_matrix() {
+        // The LeNet-halved conv2 stage: T adds 16·m·n bytes on top of the
+        // meshes, the attenuators and the struct itself.
+        let compiled = random_layer(6, 76, MeshStyle::Clements, 907);
+        let without_t = compiled.v.approx_bytes()
+            + compiled.u.approx_bytes()
+            + 6 * std::mem::size_of::<f64>()
+            + std::mem::size_of::<CompiledLayer>();
+        assert_eq!(compiled.approx_bytes(), without_t + 16 * 6 * 76);
     }
 
     #[test]
@@ -984,9 +1386,9 @@ mod tests {
     fn forward_gathered_is_bitwise_across_tile_cuts_inside_a_sample() {
         // A 3×26 layer (315-row tiles) fed 106 positions per sample: the
         // first tile ends inside sample 2, and 3 samples leave a 3-row
-        // tail below the mode-major switch. The tiled gather must be
-        // bitwise the hand-gathered per-row walk, and the planar scratch
-        // must stay within one tile.
+        // tail below the mode-major switch. At both fidelities the
+        // gathered window must be bitwise the hand-gathered rows run one
+        // at a time, and the planar scratch must stay within one tile.
         const POSITIONS: usize = 106;
         const SAMPLES: usize = 3;
         const WIDTH: usize = 40;
@@ -1008,30 +1410,28 @@ mod tests {
             })
             .collect();
         let src = random_fields(SAMPLES * WIDTH, 903);
+        let mut rows = Vec::with_capacity(SAMPLES * POSITIONS * n);
+        for sample in src.chunks_exact(WIDTH) {
+            rows.extend(plan.iter().map(|g| match *g {
+                GatherSource::Input(j) => sample[j as usize],
+                GatherSource::Dark => Complex64::ZERO,
+                GatherSource::Reference => Complex64::ONE,
+            }));
+        }
         for style in [MeshStyle::Clements, MeshStyle::Reck] {
             let compiled = CompiledLayer::compile(&PhotonicLayer::from_matrix(&w, style));
-            let (mut io, mut tmp) = (Vec::new(), Vec::new());
-            compiled.forward_gathered(&src, WIDTH, &plan, &mut io, &mut tmp);
-            let scratch = MODE_MAJOR_SCRATCH.with(|cell| cell.borrow().len());
-            assert!(scratch <= 2 * n * tile, "{style:?}: scratch {scratch}");
-
-            let mut want = Vec::with_capacity(SAMPLES * POSITIONS * m);
-            let mut t = Vec::new();
-            for sample in src.chunks_exact(WIDTH) {
-                for patch in plan.chunks_exact(n) {
-                    let mut row: Vec<Complex64> = patch
-                        .iter()
-                        .map(|g| match *g {
-                            GatherSource::Input(j) => sample[j as usize],
-                            GatherSource::Dark => Complex64::ZERO,
-                            GatherSource::Reference => Complex64::ONE,
-                        })
-                        .collect();
-                    compiled.forward_into(&mut row, &mut t);
-                    want.extend(row);
-                }
+            for fidelity in [Fidelity::Golden, Fidelity::Transfer] {
+                let (mut io, mut tmp) = (Vec::new(), Vec::new());
+                compiled.forward_gathered(fidelity, &src, WIDTH, &plan, &mut io, &mut tmp);
+                let scratch = MODE_MAJOR_SCRATCH.with(|cell| cell.borrow().len());
+                assert!(scratch <= 2 * n * tile, "{style:?}: scratch {scratch}");
+                let want = row_by_row(&compiled, fidelity, &rows);
+                assert_eq!(
+                    live_bits(&io, m, m),
+                    live_bits(&want, m, m),
+                    "{style:?} {fidelity:?}"
+                );
             }
-            assert_eq!(live_bits(&io, m, m), live_bits(&want, m, m), "{style:?}");
         }
     }
 
@@ -1121,6 +1521,31 @@ mod tests {
             compiled.forward_into(&mut io, &mut tmp_a);
             layer.forward_into(&mut reference, &mut tmp_b);
             prop_assert_eq!(io, reference);
+        }
+
+        /// The transfer tier agrees with the golden walk to within 1e-9
+        /// of the largest output magnitude, on tall, wide and square
+        /// layers in both mesh styles.
+        #[test]
+        fn transfer_layer_agrees_with_golden(
+            m in 1usize..9,
+            n in 1usize..9,
+            reck in 0u8..2,
+            samples in 0usize..20,
+            seed in 0u64..u64::MAX,
+        ) {
+            let style = if reck == 0 { MeshStyle::Clements } else { MeshStyle::Reck };
+            let compiled = random_layer(m, n, style, seed);
+            let input = random_fields(samples * n, seed.wrapping_add(5));
+            let (mut golden, mut transfer, mut tmp) = (input.clone(), input, Vec::new());
+            compiled.forward_batch_at(Fidelity::Golden, &mut golden, &mut tmp, samples);
+            compiled.forward_batch_at(Fidelity::Transfer, &mut transfer, &mut tmp, samples);
+            for (g, t) in golden.chunks_exact(m).zip(transfer.chunks_exact(m)) {
+                let scale = g.iter().map(|z| z.norm_sqr().sqrt()).fold(f64::MIN_POSITIVE, f64::max);
+                for (a, b) in g.iter().zip(t) {
+                    prop_assert!((*a - *b).norm_sqr().sqrt() <= 1e-9 * scale, "{:?} vs {:?}", a, b);
+                }
+            }
         }
 
         /// The layer-level batch kernel is bitwise the per-sample kernel,

@@ -56,7 +56,7 @@ pub mod power;
 pub mod reck;
 pub mod svd_map;
 
-pub use compiled::{CompiledLayer, CompiledMesh};
+pub use compiled::{CompiledLayer, CompiledMesh, Fidelity};
 pub use count::{mzi_count, DeviceCount};
 pub use decoder::DecoderKind;
 pub use devices::Mzi;

@@ -267,13 +267,13 @@ fn served_cnn_predictions_are_bitwise_direct_classify() {
 }
 
 #[test]
-fn parallel_gather_window_is_bitwise_sequential_gather() {
+fn windowed_conv_classify_is_invariant_to_the_worker_budget() {
     // Worker-budget invariance of the windowed conv path. The im2col
-    // gather runs tile by tile on the serving thread whatever the budget,
-    // so a multi-worker 64-sample window must be bitwise the same images
+    // gather runs on the serving thread whatever the budget, so a
+    // multi-worker 64-sample window must be bitwise the same images
     // served one at a time. An 8×10 two-channel image under a 3×3
     // same-pad conv gathers 80 positions × 19 sources per sample, so the
-    // 64-sample window spans several row tiles with cuts inside samples,
+    // 64-sample window's lane chunks and row tiles cut inside samples,
     // while a single-sample window is one tile.
     let (c, h, w) = (2usize, 8usize, 10usize);
     let net = cnn(c, h, w, 2, 3, 1, 1, 3, 70_041);
@@ -306,7 +306,7 @@ fn parallel_gather_window_is_bitwise_sequential_gather() {
     oplixnet::pool::set_jobs(ambient);
     assert_eq!(
         got, want,
-        "pool-fanned im2col gather must be bitwise the inline gather"
+        "a multi-worker budget must not change the windowed conv classes"
     );
 }
 

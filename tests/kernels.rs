@@ -1,6 +1,7 @@
 //! Integration tests for the compiled compute-kernel layer: compiled
 //! mesh/layer kernels pinned bitwise against the interpreted walk on
-//! realistic (decomposition-produced) meshes, the transpose-free GEMM
+//! realistic (decomposition-produced) meshes, the transfer tier pinned
+//! bitwise against itself row by row, the transpose-free GEMM
 //! layouts pinned bitwise against transpose-then-multiply, and the
 //! persistent executor serving the sharded engine across worker counts.
 
@@ -8,7 +9,7 @@ use oplix_linalg::{CMatrix, Complex64};
 use oplix_nn::ctensor::CTensor;
 use oplix_nn::tensor::Tensor;
 use oplix_photonics::clements::decompose_clements;
-use oplix_photonics::compiled::{CompiledLayer, CompiledMesh, MODE_MAJOR_MIN_SAMPLES};
+use oplix_photonics::compiled::{CompiledLayer, CompiledMesh, Fidelity, MODE_MAJOR_MIN_SAMPLES};
 use oplix_photonics::decoder::DecoderKind;
 use oplix_photonics::reck::decompose_reck;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
@@ -135,6 +136,62 @@ fn compiled_svd_layers_are_bitwise_across_styles() {
                     bits(&batch),
                     bits(&want[..rows * m]),
                     "{m}x{n} {style:?} {rows}-row window"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn transfer_windows_are_bitwise_row_by_row() {
+    // The transfer tier on the two conv shapes, at every window up to two
+    // chunks of the widest lane tier (8) plus a tail, and at windows
+    // around the golden walk's row tiles (315 rows at 3×26, 107 at 6×76):
+    // each window must be bitwise its rows run as one-row windows, which
+    // take the scalar tail alone. Then one row is moved through every
+    // position of a window and must come out with the same bits.
+    const LANES: usize = 8;
+    let bits = |fields: &[Complex64]| -> Vec<(u64, u64)> {
+        fields
+            .iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    };
+    let mut rng = StdRng::seed_from_u64(3);
+    for &(m, n, tile) in &[(3usize, 26usize, 315usize), (6, 76, 107)] {
+        let w = CMatrix::from_fn(m, n, |_, _| {
+            Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
+        });
+        let counts = (0..=2 * LANES + 3).chain([tile - 1, tile, tile + 1, 2 * tile + 3]);
+        let most = 2 * tile + 3;
+        for style in [MeshStyle::Clements, MeshStyle::Reck] {
+            let compiled = CompiledLayer::compile(&PhotonicLayer::from_matrix(&w, style));
+            let window = random_fields(n * most, (m * 41 + n) as u64);
+            let mut tmp = Vec::new();
+            let mut want = Vec::with_capacity(m * most);
+            for row in window.chunks_exact(n) {
+                let mut one = row.to_vec();
+                compiled.forward_batch_at(Fidelity::Transfer, &mut one, &mut tmp, 1);
+                want.extend(one);
+            }
+            for rows in counts.clone() {
+                let mut batch = window[..rows * n].to_vec();
+                compiled.forward_batch_at(Fidelity::Transfer, &mut batch, &mut tmp, rows);
+                assert_eq!(
+                    bits(&batch),
+                    bits(&want[..rows * m]),
+                    "{m}x{n} {style:?} {rows}-row window"
+                );
+            }
+            let rows = 2 * LANES + 3;
+            for at in 0..rows {
+                let mut batch = window[n..(rows + 1) * n].to_vec();
+                batch[at * n..(at + 1) * n].copy_from_slice(&window[..n]);
+                compiled.forward_batch_at(Fidelity::Transfer, &mut batch, &mut tmp, rows);
+                assert_eq!(
+                    bits(&batch[at * m..(at + 1) * m]),
+                    bits(&want[..m]),
+                    "{m}x{n} {style:?} row at {at}"
                 );
             }
         }
