@@ -65,7 +65,8 @@
 use crate::engine::{Confidence, InferenceEngine};
 use crate::error::Error;
 use crate::serve::{
-    decide, relock, Control, Counters, EngineRack, Prediction, ServerStats, SwapTicket, VersionGate,
+    decide, relock, Control, Counters, EngineRack, Prediction, ServerStats, SwapTicket, Take,
+    VersionGate,
 };
 use oplix_linalg::Complex64;
 use oplix_nn::network::Network;
@@ -77,10 +78,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::deploy::DeployedDetection;
-
-/// How often an idle lane batcher wakes to check its stop flag (the same
-/// shutdown-latency knob as the single-model server's).
-const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// The priority class a [`RouterRequest`] carries. Within one deadline
 /// tier the EDF batcher flushes lower variants first, so the derived
@@ -512,6 +509,7 @@ impl Lane {
     fn shutdown(&self) -> Option<InferenceEngine> {
         self.stop.store(true, Ordering::SeqCst);
         drop(relock(self.tx.lock()).take());
+        self.counters.bell.ring();
         relock(self.handle.lock())
             .take()
             .map(|h| h.join().expect("router lane batcher panicked"))
@@ -584,7 +582,13 @@ impl RouterCore {
         });
         match sent {
             Ok(_) => {
-                lane.counters.admitted();
+                // A deadline sooner than one window from now may fall
+                // inside the lane's coalescing window, whose EDF cut must
+                // not wait for the window to close.
+                let urgent = req
+                    .deadline
+                    .is_some_and(|d| d <= Instant::now() + self.policy.max_wait);
+                lane.counters.admitted(urgent);
                 self.fair.add(lane.fair_id, lane.weight);
                 Ok(RouterTicket { rx, done: None })
             }
@@ -866,7 +870,7 @@ impl Router {
         let fair_id = core.fair.register();
         let (tx, rx) = mpsc::sync_channel::<LaneEnvelope>(core.queue_cap);
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
+        let counters = Arc::new(Counters::new(core.policy.max_batch));
         let gate = Arc::new(VersionGate::new());
         let deadline_missed = Arc::new(AtomicU64::new(0));
         let handle = {
@@ -976,6 +980,7 @@ impl Router {
             state.current = version;
             Ok(())
         })?;
+        lane.counters.bell.ring();
         Ok(SwapTicket { rx })
     }
 
@@ -1287,22 +1292,15 @@ fn lane_batcher(
     let mut pending: EdfQueue<LaneRequest> = EdfQueue::new();
     let mut rows: Vec<Complex64> = Vec::new();
     let mut flush_seq: u64 = 0;
+    let (bell, wakes) = (&counters.bell, &counters.wakes);
     loop {
         let mut control: Option<Control> = None;
         if pending.is_empty() {
-            // Park for the first envelope of the next batch.
-            let first = loop {
-                if stop.load(Ordering::SeqCst) {
-                    // Draining: serve whatever is still queued, then exit.
-                    break rx.try_recv().ok();
-                }
-                match rx.recv_timeout(IDLE_POLL) {
-                    Ok(e) => break Some(e),
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break None,
-                }
+            // Sleep, with no timeout, for the first envelope of the next
+            // batch. Draining: serve whatever is still queued, then exit.
+            let Some(first) = bell.first(&rx, &stop, wakes) else {
+                break;
             };
-            let Some(first) = first else { break };
             match first {
                 LaneEnvelope::Request(r) => {
                     let arrived = r.enqueued_at;
@@ -1315,12 +1313,11 @@ fn lane_batcher(
         // Coalesce until the batch fills, the oldest request's window
         // closes, a queued deadline would expire inside the window — an
         // imminent deadline cuts the window short — or a swap control
-        // arrives. The spin-then-park straggler collection matches the
-        // single-model batcher.
-        const SPIN_WAIT: Duration = Duration::from_micros(256);
+        // arrives. Between drains the lane sleeps on the doorbell, like
+        // the single-model batcher; a full batch, an in-window deadline,
+        // a control message or shutdown rings it sooner.
         if let Some(oldest) = pending.oldest_arrival().filter(|_| control.is_none()) {
             let window_end = oldest + policy.max_wait;
-            let spin_until = Instant::now() + SPIN_WAIT.min(policy.max_wait);
             'coalesce: loop {
                 // Drain the whole backlog, not just enough to fill one
                 // batch: flush membership must be decided by the EDF
@@ -1340,32 +1337,24 @@ fn lane_batcher(
                         Err(_) => break,
                     }
                 }
-                if pending.len() >= policy.max_batch || stop.load(Ordering::SeqCst) {
+                if pending.len() >= policy.max_batch
+                    || stop.load(Ordering::SeqCst)
+                    || Instant::now() >= window_end
+                    || pending.earliest_deadline().is_some_and(|d| d <= window_end)
+                {
                     break;
                 }
-                let now = Instant::now();
-                if now >= window_end {
-                    break;
-                }
-                if pending.earliest_deadline().is_some_and(|d| d <= window_end) {
-                    break;
-                }
-                if now < spin_until {
-                    thread::yield_now();
-                } else {
-                    let nap = (window_end - now).min(IDLE_POLL);
-                    match rx.recv_timeout(nap) {
-                        Ok(LaneEnvelope::Request(r)) => {
-                            let arrived = r.enqueued_at;
-                            pending.push(r.deadline, r.priority, arrived, r);
-                        }
-                        Ok(LaneEnvelope::Control(c)) => {
-                            control = Some(c);
-                            break 'coalesce;
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => {}
-                        Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                match bell.take(&rx, Some(window_end), &stop, wakes) {
+                    Take::Got(LaneEnvelope::Request(r)) => {
+                        let arrived = r.enqueued_at;
+                        pending.push(r.deadline, r.priority, arrived, r);
                     }
+                    Take::Got(LaneEnvelope::Control(c)) => {
+                        control = Some(c);
+                        break;
+                    }
+                    Take::Slept => {}
+                    Take::Closed => break,
                 }
             }
         }
@@ -1565,5 +1554,36 @@ mod tests {
         assert_eq!(fair.share_for(a, 8), 8);
         fair.deregister(a);
         assert_eq!(fair.share_for(a, 8), 1, "unknown lanes degrade to 1");
+    }
+
+    #[test]
+    fn lone_lane_request_costs_a_handful_of_wakes_not_a_spin() {
+        // The router-lane twin of the serve module's pin: one request in a
+        // 20 ms window wakes the idle lane at most once, then the lane
+        // sleeps until the window closes instead of spinning through it.
+        use crate::zoo::{build_fcnn, FcnnConfig, ModelVariant};
+        use oplix_photonics::decoder::DecoderKind;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let variant = ModelVariant::Split(DecoderKind::Merge);
+        let cfg = FcnnConfig {
+            input: 4,
+            hidden: 4,
+            classes: 2,
+        };
+        let net = build_fcnn(&cfg, variant, &mut StdRng::seed_from_u64(110_000));
+        let engine = InferenceEngine::from_network(&net, variant.detection(), MeshStyle::Clements)
+            .expect("FCNN deploys");
+        let router = Router::builder()
+            .max_wait(Duration::from_millis(20))
+            .build();
+        router.register_engine("m", engine).expect("registers");
+        let ticket = router
+            .submit(RouterRequest::new("m", vec![Complex64::ONE; 4]))
+            .expect("admits");
+        ticket.wait().expect("serves");
+        let lane = relock(router.core.lanes.read())["m"].clone();
+        let wakes = lane.counters.wakes.load(Ordering::Relaxed);
+        assert!(wakes <= 8, "one lone request woke the lane {wakes} times");
     }
 }

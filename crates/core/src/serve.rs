@@ -22,7 +22,10 @@
 //! * A dedicated **batcher thread** drains the queue into micro-batches,
 //!   flushing on whichever comes first: the batch reaching
 //!   [`ServerBuilder::max_batch`] samples, or the oldest queued request
-//!   waiting [`ServerBuilder::max_wait`]. Each flush stages the samples
+//!   waiting [`ServerBuilder::max_wait`]. Between drains it sleeps; only
+//!   the admission that starts or fills a batch, a version change or
+//!   shutdown wakes it early, so an idle or coalescing server costs no
+//!   CPU. Each flush stages the samples
 //!   into one contiguous buffer and drives the engine's borrowed-batch
 //!   entry point ([`InferenceEngine::classify_rows`]' generic form) — no
 //!   per-request tensor copies. The batcher holds a
@@ -78,17 +81,12 @@ use oplix_nn::ctensor::CTensor;
 use oplix_nn::network::Network;
 use oplix_photonics::svd_map::MeshStyle;
 use oplix_photonics::PhaseDrift;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::deploy::DeployedDetection;
-
-/// How often the idle batcher wakes to check the shutdown flag. Purely a
-/// shutdown-latency knob: while requests flow, the batcher blocks on the
-/// queue (or the batch deadline) instead.
-const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// Recovers the guard from a possibly poisoned lock.
 ///
@@ -616,11 +614,165 @@ impl WaitTracker {
     }
 }
 
+/// What a batcher is doing, as admissions see it through the
+/// [`Doorbell`]: awake (it looks at the queue again before it next
+/// sleeps), idle (asleep with nothing pending and no timeout) or
+/// coalescing (asleep until its window closes).
+const AWAKE: u8 = 0;
+const IDLE: u8 = 1;
+const COALESCING: u8 = 2;
+
+/// One look a batcher took at its queue through [`Doorbell::take`].
+pub(crate) enum Take<T> {
+    /// The next envelope.
+    Got(T),
+    /// The queue was empty and the batcher slept, until rung or until
+    /// its window closed; the caller re-checks its flush rules.
+    Slept,
+    /// The queue is empty for good: disconnected, or drained after the
+    /// stop flag rose.
+    Closed,
+}
+
+/// The one wait both batchers sleep in — the single-model server's FIFO
+/// batcher and every router lane's EDF batcher. A batcher sleeps with no
+/// timeout while idle and until its window closes while coalescing; only
+/// these rings wake it sooner:
+///
+/// * the first admission while it is idle;
+/// * an admission that brings the live depth to `max_batch` while it
+///   coalesces;
+/// * an admission whose deadline may fall inside the window (router
+///   lanes);
+/// * every control message and every shutdown ([`Doorbell::ring`]).
+///
+/// Any other admission during a window lands in the queue silently and
+/// is collected when the window closes: the flush would not happen any
+/// sooner, so waking the batcher for it would only buy a context switch.
+///
+/// Wake ordering: the batcher publishes its phase, then behind a `SeqCst`
+/// fence takes its last look at the queue and the stop flag before it
+/// sleeps; an admission sends first, then behind a `SeqCst` fence reads
+/// the phase. The two fences are totally ordered, so either the last
+/// look sees the request or the submitter sees the phase and rings.
+/// Control messages and shutdown publish first and ring always. A ring
+/// sets a flag under the bell's mutex before it notifies, and the
+/// batcher tests that flag under the same mutex before it waits, so a
+/// ring landing between the last look and the wait is not lost either.
+pub(crate) struct Doorbell {
+    /// `AWAKE`, `IDLE` or `COALESCING`. Accessed `Relaxed`: the `SeqCst`
+    /// fences described above order it against the queue, and the mutex
+    /// below orders a ring against the wait it ends.
+    phase: AtomicU8,
+    /// The live depth at which a coalescing batch is full.
+    max_batch: u64,
+    rung: Mutex<bool>,
+    bell: Condvar,
+}
+
+impl Doorbell {
+    fn new(max_batch: usize) -> Self {
+        Doorbell {
+            phase: AtomicU8::new(AWAKE),
+            max_batch: max_batch as u64,
+            rung: Mutex::new(false),
+            bell: Condvar::new(),
+        }
+    }
+
+    /// Admission side, once the request is in the queue and counted:
+    /// rings if the batcher sleeps idle, or sleeps coalescing and this
+    /// admission fills the batch (`depth` is the live depth it left) or
+    /// is `urgent`. Only the first such admission per sleep pays the ring.
+    fn admitted(&self, depth: u64, urgent: bool) {
+        fence(Ordering::SeqCst);
+        let phase = self.phase.load(Ordering::Relaxed);
+        let wake = match phase {
+            IDLE => true,
+            COALESCING => urgent || depth >= self.max_batch,
+            _ => false,
+        };
+        if wake
+            && self
+                .phase
+                .compare_exchange(phase, AWAKE, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+        {
+            self.ring();
+        }
+    }
+
+    /// Wakes the batcher whatever it is doing. Control messages ring
+    /// after their send, shutdown after raising the stop flag.
+    pub(crate) fn ring(&self) {
+        *relock(self.rung.lock()) = true;
+        self.bell.notify_one();
+    }
+
+    /// Batcher side, idle: sleeps with no timeout until the next envelope
+    /// arrives. `None` once the queue is closed for good.
+    pub(crate) fn first<T>(
+        &self,
+        rx: &mpsc::Receiver<T>,
+        stop: &AtomicBool,
+        wakes: &AtomicU64,
+    ) -> Option<T> {
+        loop {
+            match self.take(rx, None, stop, wakes) {
+                Take::Got(envelope) => return Some(envelope),
+                Take::Slept => {}
+                Take::Closed => return None,
+            }
+        }
+    }
+
+    /// Batcher side: takes the next envelope off `rx`, or, when the queue
+    /// is empty and `stop` is down, sleeps once — until rung, or until
+    /// `window_end` while a batch coalesces (`None`: idle, no timeout).
+    /// Every time a batcher would block, it blocks here.
+    pub(crate) fn take<T>(
+        &self,
+        rx: &mpsc::Receiver<T>,
+        window_end: Option<Instant>,
+        stop: &AtomicBool,
+        wakes: &AtomicU64,
+    ) -> Take<T> {
+        let phase = if window_end.is_some() {
+            COALESCING
+        } else {
+            IDLE
+        };
+        self.phase.store(phase, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        // The last look: after the phase is published, before the sleep.
+        let taken = match rx.try_recv() {
+            Ok(envelope) => Take::Got(envelope),
+            Err(mpsc::TryRecvError::Empty) if !stop.load(Ordering::SeqCst) => {
+                let mut rung = relock(self.rung.lock());
+                if !*rung {
+                    rung = match window_end {
+                        None => relock(self.bell.wait(rung)),
+                        Some(end) => {
+                            let left = end.saturating_duration_since(Instant::now());
+                            relock(self.bell.wait_timeout(rung, left)).0
+                        }
+                    };
+                    wakes.fetch_add(1, Ordering::Relaxed);
+                }
+                *rung = false;
+                Take::Slept
+            }
+            Err(_) => Take::Closed,
+        };
+        self.phase.store(AWAKE, Ordering::Relaxed);
+        taken
+    }
+}
+
 /// Process-lifetime counters shared by the server handle, its clients and
 /// the batcher thread. Also the per-lane counters of the
 /// [`crate::router`] tier — the router and the single-model server
 /// report through this one shape.
-#[derive(Default)]
 pub(crate) struct Counters {
     pub(crate) submitted: AtomicU64,
     pub(crate) rejected: AtomicU64,
@@ -636,13 +788,40 @@ pub(crate) struct Counters {
     /// Latest per-stage chip/occupancy snapshot published by the batcher
     /// after each served flush (empty until the first flush).
     pub(crate) stages: Mutex<Vec<StageStats>>,
+    /// The batcher's one wait; admissions, controls and shutdown ring it.
+    pub(crate) bell: Doorbell,
+    /// Times the batcher woke from a [`Doorbell`] sleep, rung or timed
+    /// out — what a batcher that does not spin keeps small.
+    pub(crate) wakes: AtomicU64,
 }
 
 impl Counters {
-    /// Records a successful admission.
-    pub(crate) fn admitted(&self) {
+    /// Counters for a batcher that flushes at `max_batch` samples.
+    pub(crate) fn new(max_batch: usize) -> Self {
+        Counters {
+            submitted: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            abstained: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            batch_fill: AtomicU64::new(0),
+            depth: AtomicU64::new(0),
+            swaps: AtomicU64::new(0),
+            waits: WaitTracker::default(),
+            stages: Mutex::new(Vec::new()),
+            bell: Doorbell::new(max_batch),
+            wakes: AtomicU64::new(0),
+        }
+    }
+
+    /// Records a successful admission, once the request is in the queue,
+    /// and rings the batcher if the admission is one it must wake for.
+    /// `urgent` marks a deadline that may fall inside the batcher's
+    /// coalescing window.
+    pub(crate) fn admitted(&self, urgent: bool) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.depth.fetch_add(1, Ordering::Relaxed);
+        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.bell.admitted(depth, urgent);
     }
 
     /// Publishes the serving engine's per-stage stats (chip reports plus
@@ -825,7 +1004,7 @@ impl ServerBuilder {
         let input_dim = engine.input_dim();
         let (tx, rx) = mpsc::sync_channel::<Envelope>(self.queue_cap);
         let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
+        let counters = Arc::new(Counters::new(self.max_batch));
         let gate = Arc::new(VersionGate::new());
         let policy = BatchPolicy {
             max_batch: self.max_batch,
@@ -972,6 +1151,16 @@ impl Server {
         self.tx.as_ref().ok_or(Error::ServerClosed)
     }
 
+    /// Publishes a version-change control into the request queue and
+    /// rings the batcher, so the change applies at the next micro-batch
+    /// boundary rather than when the coalescing window closes.
+    fn send_control(&self, tx: &mpsc::SyncSender<Envelope>, control: Control) -> Result<(), Error> {
+        tx.send(Envelope::Control(control))
+            .map_err(|_| Error::ServerClosed)?;
+        self.counters.bell.ring();
+        Ok(())
+    }
+
     /// Hot-swaps the server to a new deployment with zero downtime. The
     /// candidate was deployed *before* this call (double buffering — v1
     /// keeps serving while v2's SVD decompositions run, warm through the
@@ -1043,12 +1232,14 @@ impl Server {
             }
             let version = state.current + 1;
             let (reply, rx) = mpsc::channel();
-            tx.send(Envelope::Control(Control::Swap {
-                engine: Box::new(engine),
-                version,
-                reply,
-            }))
-            .map_err(|_| Error::ServerClosed)?;
+            self.send_control(
+                tx,
+                Control::Swap {
+                    engine: Box::new(engine),
+                    version,
+                    reply,
+                },
+            )?;
             state.current = version;
             Ok(SwapTicket { rx })
         })
@@ -1098,13 +1289,15 @@ impl Server {
                 fraction,
                 policy.seed,
             ));
-            tx.send(Envelope::Control(Control::Canary {
-                engine: Box::new(engine),
-                version,
-                confidence: policy.confidence,
-                tallies: Arc::clone(&tallies),
-            }))
-            .map_err(|_| Error::ServerClosed)?;
+            self.send_control(
+                tx,
+                Control::Canary {
+                    engine: Box::new(engine),
+                    version,
+                    confidence: policy.confidence,
+                    tallies: Arc::clone(&tallies),
+                },
+            )?;
             state.canary = Some(CanarySplit {
                 version,
                 fraction,
@@ -1180,11 +1373,9 @@ impl Server {
             } else {
                 Control::Rollback { reply }
             };
-            tx.send(Envelope::Control(control)).map_err(|_| {
-                // The send failing means the batcher is gone; the canary
-                // split is already cleared either way.
-                Error::ServerClosed
-            })?;
+            // A failed send means the batcher is gone; the canary split
+            // is already cleared either way.
+            self.send_control(tx, control)?;
             if promote {
                 state.current = canary.version;
             }
@@ -1212,6 +1403,7 @@ impl Server {
     fn shutdown_inner(&mut self) -> Option<InferenceEngine> {
         self.stop.store(true, Ordering::SeqCst);
         drop(self.tx.take());
+        self.counters.bell.ring();
         self.handle
             .take()
             .map(|h| h.join().expect("serve batcher thread panicked"))
@@ -1320,7 +1512,7 @@ impl Client {
         });
         match sent {
             Ok(version) => {
-                self.counters.admitted();
+                self.counters.admitted(false);
                 Ok(Ticket {
                     rx,
                     done: None,
@@ -1665,20 +1857,14 @@ fn batcher(
     let mut rack = EngineRack::new(engine);
     let mut pending: Vec<Request> = Vec::with_capacity(policy.max_batch);
     let mut rows: Vec<Complex64> = Vec::new();
+    let (bell, wakes) = (&counters.bell, &counters.wakes);
     loop {
-        // Admit the first envelope of the next batch.
-        let first = loop {
-            if stop.load(Ordering::SeqCst) {
-                // Draining: serve whatever is still queued, then exit.
-                break rx.try_recv().ok();
-            }
-            match rx.recv_timeout(IDLE_POLL) {
-                Ok(e) => break Some(e),
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break None,
-            }
+        // Admit the first envelope of the next batch, sleeping with no
+        // timeout until an admission, a control message or shutdown
+        // rings. Draining: serve whatever is still queued, then exit.
+        let Some(first) = bell.first(&rx, &stop, wakes) else {
+            break;
         };
-        let Some(first) = first else { break };
         let mut control = match first {
             Envelope::Request(r) => {
                 pending.push(r);
@@ -1688,18 +1874,11 @@ fn batcher(
         };
 
         // Coalesce until the batch fills, a control message arrives, or
-        // the oldest request's deadline passes (during a drain: until
-        // the queue is empty). Under load, stragglers are collected with
-        // non-blocking drains separated by scheduler yields: parking
-        // would make every straggler's `submit` pay a futex wake,
-        // turning the coalescing window into one context switch per
-        // request. The yield spin is bounded, though — past `SPIN_WAIT`
-        // the batcher parks in timed waits for the rest of the deadline,
-        // so a long `max_wait` over a trickle of traffic idles the core
-        // instead of burning it.
-        const SPIN_WAIT: Duration = Duration::from_micros(256);
+        // the oldest request's window closes (during a drain: until the
+        // queue is empty). Between drains the batcher sleeps on the
+        // doorbell until the window closes; only a full batch, a control
+        // message or shutdown rings it sooner.
         let deadline = Instant::now() + policy.max_wait;
-        let spin_until = Instant::now() + SPIN_WAIT.min(policy.max_wait);
         'coalesce: while control.is_none() {
             while pending.len() < policy.max_batch {
                 match rx.try_recv() {
@@ -1711,28 +1890,17 @@ fn batcher(
                     Err(_) => break,
                 }
             }
-            if pending.len() >= policy.max_batch || stop.load(Ordering::SeqCst) {
+            if pending.len() >= policy.max_batch
+                || stop.load(Ordering::SeqCst)
+                || Instant::now() >= deadline
+            {
                 break;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            if now < spin_until {
-                thread::yield_now();
-            } else {
-                // Park for the remaining window (capped so a shutdown is
-                // still noticed promptly); a straggler's send wakes us.
-                let nap = (deadline - now).min(IDLE_POLL);
-                match rx.recv_timeout(nap) {
-                    Ok(Envelope::Request(r)) => pending.push(r),
-                    Ok(Envelope::Control(c)) => {
-                        control = Some(c);
-                        break 'coalesce;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
+            match bell.take(&rx, Some(deadline), &stop, wakes) {
+                Take::Got(Envelope::Request(r)) => pending.push(r),
+                Take::Got(Envelope::Control(c)) => control = Some(c),
+                Take::Slept => {}
+                Take::Closed => break,
             }
         }
 
@@ -2055,15 +2223,14 @@ mod tests {
             t.wait().expect("serves");
         }
         // The batcher publishes stage stats just after the flush that
-        // resolved the tickets; allow it a bounded beat to land.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let stats = loop {
-            let s = server.stats();
-            if !s.stage_stats.is_empty() || Instant::now() > deadline {
-                break s;
-            }
-            thread::yield_now();
-        };
+        // resolved the tickets, and serves one request at a time: once a
+        // second flush has answered, the first one's publish has landed.
+        client
+            .submit(sample_row(&x, 0))
+            .expect("admits")
+            .wait()
+            .expect("serves");
+        let stats = server.stats();
         assert!(
             !stats.stage_stats.is_empty(),
             "per-stage chip reports publish after the first flush"
@@ -2079,5 +2246,23 @@ mod tests {
             assert!(s.chip.latency_ps > 0.0);
             assert!(s.chip.mesh_depth > 0);
         }
+    }
+
+    #[test]
+    fn lone_request_costs_a_handful_of_wakes_not_a_spin() {
+        // One request in a 20 ms window: the admission rings the idle
+        // batcher, which then sleeps until the window closes. A batcher
+        // that yield-spins between drains would wake thousands of times.
+        let x = view(1, 100_051);
+        let server = Server::builder()
+            .max_wait(Duration::from_millis(20))
+            .serve_engine(engine(100_050));
+        let ticket = server.client().submit(sample_row(&x, 0)).expect("admits");
+        ticket.wait().expect("serves");
+        let wakes = server.counters.wakes.load(Ordering::Relaxed);
+        assert!(
+            wakes <= 8,
+            "one lone request woke the batcher {wakes} times"
+        );
     }
 }

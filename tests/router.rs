@@ -7,7 +7,7 @@
 //! models registered over identical weights must share one cached
 //! deployment with a flat resident footprint.
 //!
-//! The CI matrix runs this binary under `OPLIX_JOBS ∈ {2, 7}`; nothing
+//! The CI matrix runs this binary under `OPLIX_JOBS ∈ {1, 2, 7}`; nothing
 //! here may depend on the worker budget (the router inherits the engine's
 //! bitwise-at-any-worker-count contract, fair sharing included).
 //!
@@ -738,4 +738,83 @@ proptest! {
             );
         }
     }
+}
+
+// The wake contract. Each lane below coalesces over a 30 s window and the
+// tests assert completion well inside it, so a batcher that missed its
+// wake-up fails the test instead of merely slowing it down.
+
+/// The window that would otherwise hold a lone request open.
+const LONG_WINDOW: Duration = Duration::from_secs(30);
+/// How long a woken batcher may take, with a wide margin for CI noise.
+const PROMPT: Duration = Duration::from_secs(5);
+
+#[test]
+fn deadline_inside_a_long_window_is_served_not_refused() {
+    let test = test_view(2, 70_701);
+    let input = test.inputs.shape()[1];
+    let router = Router::builder().max_wait(LONG_WINDOW).build();
+    router
+        .register_engine("m", engine(70_700, input, 12))
+        .expect("registers");
+    let client = router.client();
+    let start = Instant::now();
+    // A deadline-less request opens the window; the tight one must cut it.
+    let loose = client
+        .submit(RouterRequest::new("m", sample_row(&test.inputs, 0)))
+        .expect("admits");
+    let tight = client
+        .submit(
+            RouterRequest::new("m", sample_row(&test.inputs, 1))
+                .deadline_in(Duration::from_millis(50)),
+        )
+        .expect("admits");
+    match tight.wait() {
+        Ok(_) => {}
+        Err(e) => panic!("a deadline inside the window must be served in time, got {e}"),
+    }
+    assert!(loose.wait().is_ok());
+    assert!(
+        start.elapsed() < PROMPT,
+        "an in-window deadline must wake the coalescing batcher"
+    );
+    assert_eq!(router.stats().models["m"].deadline_missed, 0);
+}
+
+#[test]
+fn swap_model_during_a_coalescing_window_applies_promptly() {
+    let test = test_view(1, 70_711);
+    let input = test.inputs.shape()[1];
+    let router = Router::builder().max_wait(LONG_WINDOW).build();
+    router
+        .register_engine("m", engine(70_710, input, 12))
+        .expect("registers");
+    let start = Instant::now();
+    let queued = router
+        .submit(RouterRequest::new("m", sample_row(&test.inputs, 0)))
+        .expect("admits");
+    let mut rng = StdRng::seed_from_u64(70_712);
+    let v2 = build_fcnn(
+        &FcnnConfig {
+            input,
+            hidden: 12,
+            classes: 10,
+        },
+        ModelVariant::Split(DecoderKind::Merge),
+        &mut rng,
+    );
+    let swap = router
+        .swap_model(
+            "m",
+            &v2,
+            DeployedDetection::Differential,
+            MeshStyle::Clements,
+        )
+        .expect("swap admits");
+    assert!(swap.wait().expect("applies").is_applied());
+    assert_eq!(queued.wait().expect("serves").version, 1);
+    assert!(
+        start.elapsed() < PROMPT,
+        "a swap control must wake the coalescing lane"
+    );
 }

@@ -6,7 +6,7 @@
 //! servers over one set of weights must share one cached deployment, and
 //! confidence abstentions must be calibrated against the direct logits.
 //!
-//! The CI matrix runs this binary under `OPLIX_JOBS ∈ {2, 7}`; nothing
+//! The CI matrix runs this binary under `OPLIX_JOBS ∈ {1, 2, 7}`; nothing
 //! here may depend on the worker budget (the serving layer's bitwise
 //! contract holds at any budget).
 
@@ -372,4 +372,73 @@ fn confidence_abstentions_are_calibrated_against_direct_logits() {
         );
     }
     assert_eq!(server.stats().abstained, expected_abstained as u64);
+}
+
+// The wake contract. Each test below runs with a 30 s coalescing window
+// and asserts completion well inside it, so a batcher that missed its
+// wake-up fails the test instead of merely slowing it down.
+
+/// The window that would otherwise hold a lone request open.
+const LONG_WINDOW: Duration = Duration::from_secs(30);
+/// How long a woken batcher may take, with a wide margin for CI noise.
+const PROMPT: Duration = Duration::from_secs(5);
+
+#[test]
+fn filling_max_batch_flushes_without_waiting_out_the_window() {
+    let test = test_view(4, 60_101);
+    let input = test.inputs.shape()[1];
+    let start = std::time::Instant::now();
+    let server = Server::builder()
+        .max_batch(4)
+        .max_wait(LONG_WINDOW)
+        .serve_engine(engine(60_100, input));
+    let client = server.client();
+    let tickets: Vec<Ticket> = (0..4)
+        .map(|i| client.submit(sample_row(&test.inputs, i)).expect("admits"))
+        .collect();
+    for t in tickets {
+        t.wait().expect("serves");
+    }
+    assert!(
+        start.elapsed() < PROMPT,
+        "the fourth admission fills the batch and must wake the batcher"
+    );
+}
+
+#[test]
+fn swap_during_a_coalescing_window_applies_promptly() {
+    let test = test_view(1, 60_111);
+    let input = test.inputs.shape()[1];
+    let mut v1 = engine(60_110, input);
+    let want = v1.classify(&test.inputs).expect("direct classify")[0];
+    let start = std::time::Instant::now();
+    let server = Server::builder().max_wait(LONG_WINDOW).serve_engine(v1);
+    let client = server.client();
+    let queued = client.submit(sample_row(&test.inputs, 0)).expect("admits");
+    let swap = server.swap(engine(60_112, input)).expect("swap admits");
+    assert!(swap.wait().expect("applies").is_applied());
+    assert_eq!(queued.version(), 1);
+    assert_eq!(
+        queued.wait().expect("serves").class(),
+        Some(want),
+        "the request admitted before the swap is served by v1"
+    );
+    assert!(
+        start.elapsed() < PROMPT,
+        "a control message must wake a coalescing batcher"
+    );
+}
+
+#[test]
+fn shutdown_of_an_idle_server_returns_promptly() {
+    let server = Server::builder()
+        .max_wait(LONG_WINDOW)
+        .serve_engine(engine(60_120, 64));
+    let start = std::time::Instant::now();
+    let engine_back = server.shutdown();
+    assert_eq!(engine_back.stats().samples, 0);
+    assert!(
+        start.elapsed() < PROMPT,
+        "shutdown must wake an idle batcher"
+    );
 }
