@@ -1,8 +1,7 @@
 //! Perf-smoke regression gate: quickly re-measures the kernel suite and
-//! the staged-walk suite, and fails (exit 1) if any pinned metric
-//! regressed more than [`PERF_SMOKE_THRESHOLD`]× against its checked-in
-//! baseline (`BENCH_kernels.json` for the kernels,
-//! `BENCH_pipeline.json` for the sequential/pipelined staged walks).
+//! fails (exit 1) if any pinned metric regressed more than
+//! [`PERF_SMOKE_THRESHOLD`]× against its checked-in baseline
+//! (`BENCH_kernels.json`).
 //!
 //! This is the CI tripwire behind the repo's perf trajectory: the 6.4×
 //! compiled-mesh speedup and the lane-kernel numbers can only move
@@ -14,7 +13,7 @@
 //! The gate only runs when the baseline's `cores`/`rustc` metadata
 //! matches the current environment ([`env_mismatch`]); otherwise it
 //! prints why and exits 0 — a laptop baseline compared on a CI runner is
-//! noise, not signal. When every baseline was skipped it prints
+//! noise, not signal. When the baseline was skipped it prints
 //! `perf-smoke SKIPPED: 0 metrics checked` (still exit 0), never PASS. After a legitimate speedup, refresh the baseline
 //! with `cargo bench --bench kernel_compute` and commit the new JSON.
 //!
@@ -25,15 +24,9 @@
 use oplix_bench::baseline::{env_mismatch, parse_flat_json, BenchMeta, PERF_SMOKE_THRESHOLD};
 use oplix_linalg::CMatrix;
 use oplix_linalg::Complex64;
-use oplix_nn::ctensor::CTensor;
 use oplix_nn::tensor::Tensor;
 use oplix_photonics::clements::decompose_clements;
 use oplix_photonics::compiled::CompiledMesh;
-use oplix_photonics::decoder::DecoderKind;
-use oplix_photonics::svd_map::MeshStyle;
-use oplixnet::engine::InferenceEngine;
-use oplixnet::zoo::{build_lenet, LenetConfig, ModelVariant};
-use oplixnet::DeployedDetection;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -103,48 +96,6 @@ fn measure() -> Vec<(&'static str, f64)> {
     ]
 }
 
-/// Re-measures the pinned staged-walk metrics (same model, seeds and
-/// shapes as the `stage_pipeline` bench, fewer samples/repetitions).
-/// Returns `(baseline_key, measured_value)` pairs; smaller is better.
-fn measure_pipeline() -> Vec<(&'static str, f64)> {
-    const SAMPLES: usize = 128;
-    let mut rng = StdRng::seed_from_u64(23);
-    let view = CTensor::new(
-        Tensor::random_uniform(&[SAMPLES, 1, 16, 16], 1.0, &mut rng),
-        Tensor::random_uniform(&[SAMPLES, 1, 16, 16], 1.0, &mut rng),
-    );
-    let mut rng = StdRng::seed_from_u64(17);
-    let cfg = LenetConfig::training_scale(2, 16, 10).halved();
-    let net = build_lenet(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
-    let deploy = || {
-        InferenceEngine::from_network_shaped(
-            &net,
-            Some((cfg.in_ch, cfg.input_h, cfg.input_w)),
-            DeployedDetection::Differential,
-            MeshStyle::Clements,
-        )
-        .expect("LeNet deploys")
-    };
-    let mut seq = deploy();
-    let mut pip = deploy().with_stage_pipeline(true);
-    let t_seq = timed(2, || {
-        seq.predict_batch(&view).expect("sequential");
-    });
-    let t_pip = timed(2, || {
-        pip.predict_batch(&view).expect("pipelined");
-    });
-    vec![
-        (
-            "staged_walk_sequential_us_per_sample",
-            t_seq * 1e6 / SAMPLES as f64,
-        ),
-        (
-            "staged_walk_pipelined_us_per_sample",
-            t_pip * 1e6 / SAMPLES as f64,
-        ),
-    ]
-}
-
 /// Gates one `(baseline file, re-measured metrics)` pair. A missing
 /// baseline or a mismatched environment skips (prints why); a malformed
 /// baseline, a missing pinned key, or a metric beyond
@@ -209,23 +160,19 @@ fn main() {
     }
 
     let kernels = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
-    let pipeline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    let (kernels_failed, kernels_checked) = gate(kernels, measure, handicap);
-    let (pipeline_failed, pipeline_checked) = gate(pipeline, measure_pipeline, handicap);
-    let checked = kernels_checked + pipeline_checked;
-    if kernels_failed || pipeline_failed {
+    let (failed, checked) = gate(kernels, measure, handicap);
+    if failed {
         println!(
             "perf-smoke FAIL: at least one metric regressed beyond \
              {PERF_SMOKE_THRESHOLD}x its checked-in baseline. If a slowdown is \
              intentional, or a speedup legitimately moved the numbers, refresh \
-             the baseline with `cargo bench --bench kernel_compute` (kernels) \
-             or `cargo bench --bench stage_pipeline` (staged walks) and commit \
+             the baseline with `cargo bench --bench kernel_compute` and commit \
              the refreshed JSON."
         );
         std::process::exit(1);
     }
     if checked == 0 {
-        // Every baseline was skipped: nothing was gated, so claim nothing.
+        // The baseline was skipped: nothing was gated, so claim nothing.
         println!("perf-smoke SKIPPED: 0 metrics checked");
         return;
     }

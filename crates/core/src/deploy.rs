@@ -28,13 +28,11 @@ use oplix_photonics::count::DeviceCount;
 use oplix_photonics::loss_model::OpticalLossModel;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
 use rand::Rng;
-use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Reusable field buffers for [`DeployedFcnn::forward_into`]: after the
@@ -52,11 +50,41 @@ pub struct ForwardBuffers {
 /// plus a gather scratch for conv stages. After warm-up none reallocates,
 /// so a serving worker pushes whole sample windows through compiled
 /// kernels allocation-free.
+///
+/// The buffers also keep the per-stage timers of every walk run through
+/// them ([`StageOccupancy`], in stage order), which
+/// [`InferenceEngine::stage_stats`](crate::engine::InferenceEngine::stage_stats)
+/// sums over its workers.
 #[derive(Clone, Debug, Default)]
 pub struct WindowBuffers {
     cur: Vec<Complex64>,
     nxt: Vec<Complex64>,
     aux: Vec<Complex64>,
+    stages: Vec<StageOccupancy>,
+}
+
+impl WindowBuffers {
+    /// Windows and busy time per stage accumulated so far, in stage order.
+    pub(crate) fn stage_occupancy(&self) -> &[StageOccupancy] {
+        &self.stages
+    }
+
+    /// Adds `other`'s per-stage timers into these (a retired worker's
+    /// timers folding into a surviving one).
+    pub(crate) fn absorb_stage_occupancy(&mut self, other: &WindowBuffers) {
+        if self.stages.len() < other.stages.len() {
+            self.stages
+                .resize(other.stages.len(), StageOccupancy::default());
+        }
+        for (acc, occ) in self.stages.iter_mut().zip(&other.stages) {
+            acc.absorb(*occ);
+        }
+    }
+
+    /// Zeroes the per-stage timers.
+    pub(crate) fn clear_stage_occupancy(&mut self) {
+        self.stages.clear();
+    }
 }
 
 /// Applies one detection scheme to a row of output fields, appending the
@@ -205,11 +233,9 @@ impl DeployedStage {
     /// Applies this stage (trailing electro-optic ReLU included) to a
     /// staged window: `buf.cur` holds `samples × width` fields on entry
     /// and the stage's output on return; the new per-sample width is
-    /// returned. This is the *one* per-stage transform in the codebase —
-    /// the sequential walk ([`DeployedFcnn::forward_staged`]) and the
-    /// stage-pipelined walk both call it verbatim, which is what makes
-    /// the two bitwise identical by construction. Optical stages run their
-    /// compiled layer at `fidelity`.
+    /// returned. This is the *one* per-stage transform in the codebase,
+    /// called only by the staged walk ([`DeployedFcnn::forward_staged`]).
+    /// Optical stages run their compiled layer at `fidelity`.
     fn apply(
         &self,
         buf: &mut WindowBuffers,
@@ -217,7 +243,7 @@ impl DeployedStage {
         samples: usize,
         fidelity: Fidelity,
     ) -> usize {
-        let WindowBuffers { cur, nxt, aux } = buf;
+        let WindowBuffers { cur, nxt, aux, .. } = buf;
         let (out_width, relu_after) = match self {
             DeployedStage::Mesh(st) => {
                 // Re-stage: ancilla padding (unitary decoder) plus the
@@ -324,6 +350,10 @@ pub struct DeployedFcnn {
     detection: DeployedDetection,
     /// Which kernel every optical stage serves through.
     fidelity: Fidelity,
+    /// [`DeployedFcnn::chip_reports`], computed once at deployment: the
+    /// reports read only mesh structure, and noise, drift and session
+    /// restore move phases, never structure.
+    chips: Vec<ChipReport>,
 }
 
 /// Errors from deployment.
@@ -544,11 +574,14 @@ impl DeployedFcnn {
                 return Err(DeployError::OddDifferentialOutput { width });
             }
         }
-        Ok(DeployedFcnn {
+        let mut deployed = DeployedFcnn {
             stages,
             detection,
             fidelity: Fidelity::default(),
-        })
+            chips: Vec::new(),
+        };
+        deployed.chips = deployed.chip_reports_with(&OpticalLossModel::silicon_defaults());
+        Ok(deployed)
     }
 
     /// The complex fan-in of the deployed pipeline: the flattened field
@@ -748,10 +781,24 @@ impl DeployedFcnn {
     /// row-major. Each optical stage runs one compiled batch kernel
     /// across the whole window — for conv stages, across every im2col
     /// patch row of every sample in the window at once.
+    ///
+    /// Every stage is timed: one clock read before the first stage and
+    /// one after each stage, accumulated into `buf`'s per-stage
+    /// [`StageOccupancy`]. Detection is not part of any stage.
     fn forward_staged(&self, buf: &mut WindowBuffers, samples: usize, logits: &mut Vec<f64>) {
+        if buf.stages.len() < self.stages.len() {
+            buf.stages
+                .resize(self.stages.len(), StageOccupancy::default());
+        }
         let mut width = self.input_dim();
-        for stage in &self.stages {
+        let mut clock = Instant::now();
+        for (i, stage) in self.stages.iter().enumerate() {
             width = stage.apply(buf, width, samples, self.fidelity);
+            let now = Instant::now();
+            let occ = &mut buf.stages[i];
+            occ.windows += 1;
+            occ.busy_nanos += now.duration_since(clock).as_nanos() as u64;
+            clock = now;
         }
         for row in buf.cur.chunks_exact(width.max(1)) {
             detect(self.detection, row, logits);
@@ -941,8 +988,11 @@ impl DeployedFcnn {
     /// physical chip (two MZI meshes plus attenuators); its worst-path
     /// insertion loss and time-of-flight latency are the sums over both
     /// meshes. Electronic stages (pooling) report zeros.
+    ///
+    /// Computed once at deployment, so this is a copy, cheap enough to
+    /// call after every served batch.
     pub fn chip_reports(&self) -> Vec<ChipReport> {
-        self.chip_reports_with(&OpticalLossModel::silicon_defaults())
+        self.chips.clone()
     }
 
     /// [`DeployedFcnn::chip_reports`] under an explicit platform model.
@@ -972,212 +1022,27 @@ impl DeployedFcnn {
             })
             .collect()
     }
-
-    /// The stage-pipelined counterpart of the sequential windowed walk:
-    /// the span's `total` rows are cut into windows of at most `window`
-    /// samples, the stage chain is partitioned into `helpers + 1`
-    /// contiguous segments (each deployed stage — physically one chip —
-    /// belongs to exactly one segment), and windows stream through the
-    /// segments concurrently over bounded rings of
-    /// [`STAGE_RING_WINDOWS`] windows each.
-    ///
-    /// The calling thread stages each window via `fill(lo, hi, buffer)`
-    /// (span-relative row range) and runs segment 0; each helper thread
-    /// runs one further segment; the last segment detects and collects
-    /// logits. Rings are FIFO with a single producer and consumer per
-    /// ring, so windows reach detection in submission order — the
-    /// returned logits are row-major over the span exactly like the
-    /// sequential walk's. Every segment applies [`DeployedStage::apply`]
-    /// to whole windows at the same window boundaries the sequential walk
-    /// uses, so the result is **bitwise identical** to
-    /// [`DeployedFcnn::forward_rows_into`] over the same rows at any
-    /// helper count.
-    ///
-    /// Also returns per-stage occupancy (windows seen, busy nanoseconds)
-    /// in stage order — the dynamic half of the multi-chip report whose
-    /// static half is [`DeployedFcnn::chip_reports`].
-    ///
-    /// Callers must hold a [`crate::pool`] pipeline reservation covering
-    /// the caller plus `helpers` threads; `helpers` must be ≥ 1 (with no
-    /// helper budget, fall back to the sequential walk) and the pipeline
-    /// must have at least 2 stages.
-    pub(crate) fn forward_windows_pipelined(
-        &self,
-        total: usize,
-        window: usize,
-        helpers: usize,
-        fill: &mut dyn FnMut(usize, usize, &mut Vec<Complex64>),
-    ) -> (Vec<f64>, Vec<StageOccupancy>) {
-        debug_assert!(helpers >= 1 && self.stages.len() >= 2 && window >= 1);
-        let stages = &self.stages[..];
-        let nseg = (helpers + 1).min(stages.len());
-        // Segment `s` covers stages `bounds[s]..bounds[s + 1]`: contiguous,
-        // balanced by stage count, every stage in exactly one segment.
-        let bounds: Vec<usize> = (0..=nseg).map(|s| s * stages.len() / nseg).collect();
-        let windows = total.div_ceil(window);
-        let rings: Vec<StageRing> = (0..nseg - 1).map(|_| StageRing::new()).collect();
-        // Spent window allocations flow back from the sink for reuse, so a
-        // long span settles into a fixed set of buffers.
-        let spares: Mutex<Vec<Vec<Complex64>>> = Mutex::new(Vec::new());
-        let input_width = self.input_dim();
-        let (detection, fidelity) = (self.detection, self.fidelity);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nseg - 1);
-            for seg in 1..nseg {
-                let ring_in = &rings[seg - 1];
-                let ring_out = rings.get(seg);
-                let seg_stages = &stages[bounds[seg]..bounds[seg + 1]];
-                let (rings, spares) = (&rings[..], &spares);
-                handles.push(scope.spawn(move || {
-                    let run = || {
-                        let mut buf = WindowBuffers::default();
-                        let mut occ = vec![StageOccupancy::default(); seg_stages.len()];
-                        let mut sunk: Vec<Vec<f64>> = Vec::new();
-                        while let Some(mut msg) = ring_in.pop() {
-                            std::mem::swap(&mut buf.cur, &mut msg.fields);
-                            let mut width = msg.width;
-                            for (i, st) in seg_stages.iter().enumerate() {
-                                let clock = Instant::now();
-                                width = st.apply(&mut buf, width, msg.samples, fidelity);
-                                occ[i].windows += 1;
-                                occ[i].busy_nanos += clock.elapsed().as_nanos() as u64;
-                            }
-                            std::mem::swap(&mut buf.cur, &mut msg.fields);
-                            msg.width = width;
-                            match ring_out {
-                                Some(ring) => {
-                                    if !ring.push(msg) {
-                                        break; // pipeline aborted downstream
-                                    }
-                                }
-                                None => {
-                                    // The sink: detect in arrival (= submission)
-                                    // order, recycle the window allocation.
-                                    let mut logits = Vec::new();
-                                    for row in msg.fields.chunks_exact(width.max(1)) {
-                                        detect(detection, row, &mut logits);
-                                    }
-                                    sunk.push(logits);
-                                    let mut fields = msg.fields;
-                                    fields.clear();
-                                    spares.lock().expect("pipeline spares").push(fields);
-                                }
-                            }
-                        }
-                        if let Some(ring) = ring_out {
-                            ring.close();
-                        }
-                        (occ, sunk)
-                    };
-                    match catch_unwind(AssertUnwindSafe(run)) {
-                        Ok(v) => v,
-                        Err(payload) => {
-                            // Wake every blocked neighbour before re-raising,
-                            // so the scope join cannot deadlock on a ring.
-                            for ring in rings {
-                                ring.abort();
-                            }
-                            resume_unwind(payload);
-                        }
-                    }
-                }));
-            }
-
-            // The calling thread is the source plus segment 0.
-            let feed = &mut |fill: &mut dyn FnMut(usize, usize, &mut Vec<Complex64>)| {
-                let mut buf = WindowBuffers::default();
-                let mut occ = vec![StageOccupancy::default(); bounds[1]];
-                for w in 0..windows {
-                    let lo = w * window;
-                    let hi = ((w + 1) * window).min(total);
-                    let mut fields = spares
-                        .lock()
-                        .expect("pipeline spares")
-                        .pop()
-                        .unwrap_or_default();
-                    fill(lo, hi, &mut fields);
-                    std::mem::swap(&mut buf.cur, &mut fields);
-                    let mut width = input_width;
-                    for (i, st) in stages[..bounds[1]].iter().enumerate() {
-                        let clock = Instant::now();
-                        width = st.apply(&mut buf, width, hi - lo, fidelity);
-                        occ[i].windows += 1;
-                        occ[i].busy_nanos += clock.elapsed().as_nanos() as u64;
-                    }
-                    std::mem::swap(&mut buf.cur, &mut fields);
-                    let msg = WindowMsg {
-                        samples: hi - lo,
-                        width,
-                        fields,
-                    };
-                    if !rings[0].push(msg) {
-                        break; // pipeline aborted; the panic surfaces at join
-                    }
-                }
-                occ
-            };
-            let fed = catch_unwind(AssertUnwindSafe(|| feed(fill)));
-            match &fed {
-                Ok(_) => rings[0].close(),
-                Err(_) => {
-                    for ring in &rings {
-                        ring.abort();
-                    }
-                }
-            }
-
-            let mut occupancy: Vec<StageOccupancy> = match &fed {
-                Ok(occ) => occ.clone(),
-                Err(_) => vec![StageOccupancy::default(); bounds[1]],
-            };
-            let mut flat = Vec::new();
-            let mut panicked: Option<Box<dyn Any + Send>> = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok((occ, sunk)) => {
-                        occupancy.extend(occ);
-                        for logits in sunk {
-                            flat.extend_from_slice(&logits);
-                        }
-                    }
-                    Err(payload) => {
-                        if panicked.is_none() {
-                            panicked = Some(payload);
-                        }
-                    }
-                }
-            }
-            if let Err(payload) = fed {
-                resume_unwind(payload);
-            }
-            if let Some(payload) = panicked {
-                resume_unwind(payload);
-            }
-            (flat, occupancy)
-        })
-    }
 }
 
-/// Capacity, in staged sample windows, of each bounded ring buffer
-/// between two pipeline segments of the stage-pipelined window walk
-/// (`DeployedFcnn::forward_windows_pipelined`). Small on purpose: one
-/// window in flight plus one of slack keeps every chip busy while
-/// bounding the staged-field memory at `stages × windows × width`
-/// instead of the whole span.
-pub const STAGE_RING_WINDOWS: usize = 2;
-
-/// Dynamic per-stage counters of the stage-pipelined walk: how many
-/// windows a stage (chip) processed and how long it was busy. The
-/// *occupancy* half of the multi-chip report; the static physics half is
-/// [`ChipReport`]. Sequential walks leave these at zero — occupancy is a
-/// pipeline metric.
+/// Dynamic per-stage counters of the staged walk: how many windows a
+/// stage (chip) processed and how long it was busy. The *occupancy* half
+/// of the multi-chip report; the static physics half is [`ChipReport`].
+/// Every walk fills them, whether sequential, sharded or served; a
+/// sharded engine sums them over its workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageOccupancy {
     /// Sample windows this stage processed.
     pub windows: u64,
     /// Nanoseconds this stage spent transforming windows.
     pub busy_nanos: u64,
+}
+
+impl StageOccupancy {
+    /// Adds `other`'s windows and busy time into these.
+    pub(crate) fn absorb(&mut self, other: StageOccupancy) {
+        self.windows += other.windows;
+        self.busy_nanos += other.busy_nanos;
+    }
 }
 
 /// Static per-chip physical budget of one deployed stage under an
@@ -1202,103 +1067,6 @@ pub struct ChipReport {
     pub insertion_loss_db: f64,
     /// Time-of-flight latency in picoseconds, summed over both meshes.
     pub latency_ps: f64,
-}
-
-/// One staged sample window travelling between pipeline segments: the
-/// flat fields plus the per-sample width they are currently at. Windows
-/// are pushed in submission order and every ring is FIFO with one
-/// producer and one consumer, so order is preserved end to end.
-struct WindowMsg {
-    samples: usize,
-    width: usize,
-    fields: Vec<Complex64>,
-}
-
-struct RingState {
-    queue: VecDeque<WindowMsg>,
-    /// End of stream: no more windows will be pushed.
-    closed: bool,
-    /// Pipeline failure: a segment panicked; everyone stops immediately.
-    aborted: bool,
-}
-
-/// A bounded FIFO ring between two adjacent pipeline segments, capacity
-/// [`STAGE_RING_WINDOWS`]. `push` blocks while full (backpressure on the
-/// upstream chip), `pop` blocks while empty; `close` ends the stream
-/// after draining, `abort` wakes everyone for unwinding.
-struct StageRing {
-    state: Mutex<RingState>,
-    space: Condvar,
-    ready: Condvar,
-}
-
-impl StageRing {
-    fn new() -> Self {
-        StageRing {
-            state: Mutex::new(RingState {
-                queue: VecDeque::with_capacity(STAGE_RING_WINDOWS),
-                closed: false,
-                aborted: false,
-            }),
-            space: Condvar::new(),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Blocks until the ring has space; returns `false` (dropping the
-    /// window) if the pipeline aborted, telling the producer to stop.
-    fn push(&self, msg: WindowMsg) -> bool {
-        let mut st = self.state.lock().expect("stage ring");
-        loop {
-            if st.aborted {
-                return false;
-            }
-            if st.queue.len() < STAGE_RING_WINDOWS {
-                st.queue.push_back(msg);
-                drop(st);
-                self.ready.notify_one();
-                return true;
-            }
-            st = self.space.wait(st).expect("stage ring");
-        }
-    }
-
-    /// Blocks until a window arrives; `None` once the stream is closed
-    /// and drained (or aborted).
-    fn pop(&self) -> Option<WindowMsg> {
-        let mut st = self.state.lock().expect("stage ring");
-        loop {
-            if st.aborted {
-                return None;
-            }
-            if let Some(msg) = st.queue.pop_front() {
-                drop(st);
-                self.space.notify_one();
-                return Some(msg);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.ready.wait(st).expect("stage ring");
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().expect("stage ring");
-        st.closed = true;
-        drop(st);
-        self.ready.notify_all();
-    }
-
-    fn abort(&self) {
-        let mut st = self.state.lock().expect("stage ring");
-        st.aborted = true;
-        st.closed = true;
-        st.queue.clear();
-        drop(st);
-        self.ready.notify_all();
-        self.space.notify_all();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1824,7 +1592,8 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_windows_match_sequential_walk_bitwise() {
+    fn cached_chip_reports_match_a_fresh_derivation_through_noise_and_drift() {
+        use crate::engine::InferenceEngine;
         let mut rng = StdRng::seed_from_u64(21);
         let cfg = FcnnConfig {
             input: 6,
@@ -1832,53 +1601,33 @@ mod tests {
             classes: 2,
         };
         let net = build_fcnn(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
-        let deployed =
-            DeployedFcnn::from_network(&net, DeployedDetection::Differential, MeshStyle::Clements)
-                .expect("deployable");
-        assert!(deployed.num_stages() >= 2);
-
-        // A small window against many samples keeps several windows in
-        // flight at once, so the bounded rings exercise backpressure
-        // (ring capacity is STAGE_RING_WINDOWS windows).
-        let (total, window, d) = (37usize, 4usize, 6usize);
-        let view = random_view(total, d, 22);
-        let mut rows: Vec<Complex64> = Vec::with_capacity(total * d);
-        for i in 0..total {
-            for j in 0..d {
-                rows.push(Complex64::new(
-                    view.re.at2(i, j) as f64,
-                    view.im.at2(i, j) as f64,
-                ));
-            }
+        let mut engine = InferenceEngine::from_network(
+            &net,
+            DeployedDetection::Differential,
+            MeshStyle::Clements,
+        )
+        .expect("deployable");
+        let silicon = OpticalLossModel::silicon_defaults();
+        let fresh = |d: &DeployedFcnn| d.chip_reports_with(&silicon);
+        let deployed_reports = engine.deployed().chip_reports();
+        assert_eq!(deployed_reports, fresh(engine.deployed()));
+        {
+            let session = engine.noise_session(0.3, &mut rng);
+            let d = session.deployed();
+            assert_eq!(d.chip_reports(), fresh(d), "inside a noise session");
         }
-
-        // The sequential reference at identical window boundaries.
-        let mut buf = WindowBuffers::default();
-        let mut logits = Vec::new();
-        let mut want = Vec::new();
-        for lo in (0..total).step_by(window) {
-            let hi = (lo + window).min(total);
-            deployed
-                .forward_rows_into(&rows[lo * d..hi * d], &mut buf, &mut logits)
-                .expect("sequential walk");
-            want.extend_from_slice(&logits);
+        assert_eq!(
+            engine.deployed().chip_reports(),
+            fresh(engine.deployed()),
+            "after the noise session drops"
+        );
+        let mut drift = oplix_photonics::PhaseDrift::new(0.05, 22);
+        for step in 0..3 {
+            engine.drift_step(&mut drift);
+            let d = engine.deployed();
+            assert_eq!(d.chip_reports(), fresh(d), "after drift step {step}");
         }
-
-        for helpers in [1usize, 2, 7] {
-            let mut fill = |lo: usize, hi: usize, fields: &mut Vec<Complex64>| {
-                fields.clear();
-                fields.extend_from_slice(&rows[lo * d..hi * d]);
-            };
-            let (got, occ) = deployed.forward_windows_pipelined(total, window, helpers, &mut fill);
-            assert_eq!(got, want, "helpers {helpers}: pipelined walk diverged");
-            assert_eq!(occ.len(), deployed.num_stages(), "helpers {helpers}");
-            let seen: u64 = occ.iter().map(|o| o.windows).sum();
-            assert_eq!(
-                seen as usize,
-                deployed.num_stages() * total.div_ceil(window),
-                "helpers {helpers}: every stage sees every window exactly once"
-            );
-        }
+        assert_eq!(engine.deployed().chip_reports(), deployed_reports);
     }
 
     #[test]

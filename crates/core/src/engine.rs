@@ -26,7 +26,8 @@
 //!   restores the programmed phases on drop, so robustness studies share
 //!   one engine instead of redeploying per noise level;
 //! * **throughput counters** — samples, batches and busy time served,
-//!   for capacity planning.
+//!   plus each deployed stage's windows and busy time
+//!   ([`InferenceEngine::stage_stats`]), for capacity planning.
 //!
 //! ```
 //! use oplixnet::engine::InferenceEngine;
@@ -302,18 +303,11 @@ pub struct InferenceEngine {
     deployed: DeployedFcnn,
     workers: Vec<WorkerSlot>,
     stats: EngineStats,
-    /// Route batched spans through the stage-pipelined walk when the
-    /// worker budget has room (see
-    /// [`InferenceEngine::with_stage_pipeline`]).
-    stage_pipeline: bool,
-    /// Cumulative per-stage pipeline occupancy, in stage order (empty
-    /// until the first pipelined span).
-    stage_occupancy: Vec<StageOccupancy>,
 }
 
 /// One deployed stage's combined multi-chip serving report: the static
 /// physical budget of the chip ([`ChipReport`] — mesh depth, worst-path
-/// insertion loss, time-of-flight latency) plus its cumulative pipeline
+/// insertion loss, time-of-flight latency) plus its cumulative
 /// occupancy ([`StageOccupancy`] — windows processed, busy time).
 /// Surfaced per engine by [`InferenceEngine::stage_stats`] and flowed
 /// into [`crate::serve::ServerStats`] / `router::ModelStats` snapshots.
@@ -321,7 +315,7 @@ pub struct InferenceEngine {
 pub struct StageStats {
     /// Static per-chip physics under the silicon platform defaults.
     pub chip: ChipReport,
-    /// Cumulative dynamic pipeline counters.
+    /// Cumulative per-stage timers of the staged walk.
     pub occupancy: StageOccupancy,
 }
 
@@ -337,8 +331,6 @@ impl InferenceEngine {
             deployed,
             workers: vec![WorkerSlot::default()],
             stats: EngineStats::default(),
-            stage_pipeline: false,
-            stage_occupancy: Vec::new(),
         }
     }
 
@@ -382,10 +374,19 @@ impl InferenceEngine {
         self
     }
 
-    /// In-place form of [`InferenceEngine::with_num_workers`].
+    /// In-place form of [`InferenceEngine::with_num_workers`]. Retired
+    /// workers' stage timers fold into worker 0, so
+    /// [`InferenceEngine::stage_stats`] stays cumulative.
     pub fn set_num_workers(&mut self, n: usize) {
-        let n = if n == 0 { crate::pool::jobs() } else { n };
-        self.workers.resize_with(n.max(1), WorkerSlot::default);
+        let n = if n == 0 { crate::pool::jobs() } else { n }.max(1);
+        if n < self.workers.len() {
+            for retired in self.workers.split_off(n) {
+                self.workers[0]
+                    .window
+                    .absorb_stage_occupancy(&retired.window);
+            }
+        }
+        self.workers.resize_with(n, WorkerSlot::default);
     }
 
     /// How many workers batched queries shard across.
@@ -439,78 +440,25 @@ impl InferenceEngine {
         self.deployed.fidelity()
     }
 
-    /// Opts batched spans into the **stage-pipelined** walk: instead of
-    /// sharding rows across workers (data parallelism), the deployed
-    /// stage chain is partitioned into contiguous segments — each
-    /// [`crate::deploy::DeployedFcnn`] stage is physically one chip — and
-    /// sample windows stream through the segments concurrently over
-    /// bounded inter-stage rings
-    /// ([`crate::deploy::STAGE_RING_WINDOWS`]), with results landing in
-    /// submission order. Helper threads are drawn from the shared
-    /// [`crate::pool`] budget; with no budget to spare (including a
-    /// `--jobs 1` run) the engine falls back to the sequential walk, and
-    /// either way the output is **bitwise identical** to pipelining off
-    /// at any worker count, because both walks apply the exact same
-    /// per-stage transform at the same window boundaries.
-    ///
-    /// ```
-    /// use oplixnet::engine::InferenceEngine;
-    /// use oplixnet::zoo::{build_fcnn, FcnnConfig, ModelVariant};
-    /// use oplixnet::deploy::DeployedDetection;
-    /// use oplix_photonics::decoder::DecoderKind;
-    /// use oplix_photonics::svd_map::MeshStyle;
-    /// use oplix_nn::ctensor::CTensor;
-    /// use oplix_nn::tensor::Tensor;
-    /// use rand::{rngs::StdRng, SeedableRng};
-    ///
-    /// let mut rng = StdRng::seed_from_u64(1);
-    /// let net = build_fcnn(
-    ///     &FcnnConfig { input: 6, hidden: 5, classes: 2 },
-    ///     ModelVariant::Split(DecoderKind::Merge),
-    ///     &mut rng,
-    /// );
-    /// let make = || InferenceEngine::from_network(
-    ///     &net, DeployedDetection::Differential, MeshStyle::Clements,
-    /// ).expect("FCNN deploys");
-    /// let batch = CTensor::from_re(Tensor::random_uniform(&[96, 6], 1.0, &mut rng));
-    ///
-    /// let sequential = make().classify(&batch).expect("classify");
-    /// let pipelined = make().with_stage_pipeline(true).classify(&batch).expect("classify");
-    /// assert_eq!(sequential, pipelined); // bitwise identical, any budget
-    /// ```
-    pub fn with_stage_pipeline(mut self, on: bool) -> Self {
-        self.set_stage_pipeline(on);
-        self
-    }
-
-    /// In-place form of [`InferenceEngine::with_stage_pipeline`].
-    pub fn set_stage_pipeline(&mut self, on: bool) {
-        self.stage_pipeline = on;
-    }
-
-    /// Whether batched spans attempt the stage-pipelined walk.
-    pub fn stage_pipeline(&self) -> bool {
-        self.stage_pipeline
-    }
-
     /// The per-chip serving report, one entry per deployed stage in stage
     /// order: static insertion-loss/latency budgets (from
     /// [`oplix_photonics::loss_model`] under silicon defaults) combined
-    /// with the cumulative pipeline occupancy this engine has observed.
-    /// Occupancy stays zero until a span actually runs pipelined (see
-    /// [`InferenceEngine::with_stage_pipeline`]).
+    /// with the windows and busy time each stage has spent in this
+    /// engine's staged walks, summed over its workers. On a sharded
+    /// engine the busy time is summed across concurrent workers, so it
+    /// can exceed [`EngineStats::busy_nanos`].
     pub fn stage_stats(&self) -> Vec<StageStats> {
+        let mut occupancy = vec![StageOccupancy::default(); self.deployed.num_stages()];
+        for slot in &self.workers {
+            for (acc, occ) in occupancy.iter_mut().zip(slot.window.stage_occupancy()) {
+                acc.absorb(*occ);
+            }
+        }
         self.deployed
             .chip_reports()
             .into_iter()
-            .map(|chip| StageStats {
-                occupancy: self
-                    .stage_occupancy
-                    .get(chip.stage)
-                    .copied()
-                    .unwrap_or_default(),
-                chip,
-            })
+            .zip(occupancy)
+            .map(|(chip, occupancy)| StageStats { chip, occupancy })
             .collect()
     }
 
@@ -576,11 +524,12 @@ impl InferenceEngine {
         self.stats
     }
 
-    /// Zeroes the serving counters (per-stage pipeline occupancy
-    /// included).
+    /// Zeroes the serving counters, per-stage timers included.
     pub fn reset_stats(&mut self) {
         self.stats = EngineStats::default();
-        self.stage_occupancy.clear();
+        for slot in &mut self.workers {
+            slot.window.clear_stage_occupancy();
+        }
     }
 
     /// Detected logits of one already-assigned sample.
@@ -858,12 +807,6 @@ impl InferenceEngine {
     ) -> Result<Vec<T>, Error> {
         let n = end - start;
         let clock = Instant::now();
-        if self.stage_pipeline {
-            if let Some(out) = self.run_span_pipelined(src, start, end, emit)? {
-                self.stats.absorb(n as u64, clock.elapsed());
-                return Ok(out);
-            }
-        }
         let shards = self
             .workers
             .len()
@@ -911,76 +854,6 @@ impl InferenceEngine {
         }?;
         self.stats.absorb(n as u64, clock.elapsed());
         Ok(out)
-    }
-
-    /// Attempts the stage-pipelined walk over rows `start..end`. Returns
-    /// `Ok(None)` when the pipeline cannot engage — fewer than two
-    /// deployed stages, or the shared [`crate::pool`] budget has no room
-    /// for a helper thread (a `--jobs 1` run) — in which case the caller
-    /// falls back to the sequential/sharded walk. Engaged or not, the
-    /// emitted values are bitwise identical: both walks apply the same
-    /// per-stage transform at the same [`SERVE_WINDOW`] boundaries, and
-    /// pipelined windows land in submission order.
-    fn run_span_pipelined<T: Send>(
-        &mut self,
-        src: RowSource<'_>,
-        start: usize,
-        end: usize,
-        emit: &(impl Fn(&[f64]) -> T + Sync),
-    ) -> Result<Option<Vec<T>>, Error> {
-        if self.deployed.num_stages() < 2 {
-            return Ok(None);
-        }
-        // One budget slot per stage (chip), the caller's included; helpers
-        // beyond the caller come out of the grant. The reservation returns
-        // its share when the span completes.
-        let reservation = crate::pool::reserve_pipeline_workers(self.deployed.num_stages());
-        let helpers = reservation.granted().saturating_sub(1);
-        if helpers == 0 {
-            return Ok(None);
-        }
-        let n = end - start;
-        let width = self.input_dim();
-        let mut fill = |lo: usize, hi: usize, out: &mut Vec<Complex64>| {
-            out.clear();
-            match src {
-                RowSource::Rows { rows, width } => {
-                    out.extend_from_slice(&rows[(start + lo) * width..(start + hi) * width]);
-                }
-                RowSource::View(inputs) => {
-                    // The exact staging of `forward_window_into`, so the
-                    // two sources stay bitwise interchangeable.
-                    let (re, im) = (inputs.re.as_slice(), inputs.im.as_slice());
-                    for s in (start + lo)..(start + hi) {
-                        out.extend(
-                            re[s * width..(s + 1) * width]
-                                .iter()
-                                .zip(&im[s * width..(s + 1) * width])
-                                .map(|(&a, &b)| Complex64::new(a as f64, b as f64)),
-                        );
-                    }
-                }
-            }
-        };
-        let (logits, occupancy) =
-            self.deployed
-                .forward_windows_pipelined(n, SERVE_WINDOW, helpers, &mut fill);
-        drop(reservation);
-        if self.stage_occupancy.len() < occupancy.len() {
-            self.stage_occupancy
-                .resize(occupancy.len(), StageOccupancy::default());
-        }
-        for (acc, occ) in self.stage_occupancy.iter_mut().zip(&occupancy) {
-            acc.windows += occ.windows;
-            acc.busy_nanos += occ.busy_nanos;
-        }
-        let k = self.deployed.logit_dim().max(1);
-        let mut out = Vec::with_capacity(n);
-        for (r, row) in logits.chunks_exact(k).enumerate() {
-            check_finite(row, start + r)?;
-            out.push(emit(row));
-        }
-        Ok(Some(out))
     }
 
     fn check_batch(&self, inputs: &CTensor) -> Result<(usize, usize), Error> {
@@ -1188,50 +1061,52 @@ mod tests {
     }
 
     #[test]
-    fn stage_pipeline_matches_sequential_and_reports_occupancy() {
-        // A multi-slot budget lets the pipeline reservation grant helper
-        // threads (the budget is process-global and every test must be
-        // correct at any budget, so overriding it here is safe).
-        crate::pool::set_jobs(8);
-        // 150 samples = 3 serving windows: more windows than the
-        // inter-stage ring holds, so streaming actually overlaps.
-        let x = batch(150, 6, 8);
-        let mut sequential = engine(7);
-        let want = sequential.predict_batch(&x).expect("sequential");
+    fn every_walk_times_every_stage() {
+        use crate::zoo::{build_lenet, LenetConfig};
+        let mut rng = StdRng::seed_from_u64(31);
+        let cfg = LenetConfig::training_scale(2, 8, 10).halved();
+        let net = build_lenet(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
+        let lenet = InferenceEngine::from_network_shaped(
+            &net,
+            Some((cfg.in_ch, cfg.input_h, cfg.input_w)),
+            DeployedDetection::Differential,
+            MeshStyle::Clements,
+        )
+        .expect("LeNet deploys");
+        let stages = lenet.deployed().num_stages();
+        assert_eq!(stages, 7, "conv-pool-conv-pool-fc-fc-fc");
+        let mut rng = StdRng::seed_from_u64(32);
+        let x = CTensor::new(
+            Tensor::random_uniform(&[150, cfg.in_ch, 8, 8], 1.0, &mut rng),
+            Tensor::random_uniform(&[150, cfg.in_ch, 8, 8], 1.0, &mut rng),
+        );
 
-        let mut pipelined = engine(7).with_stage_pipeline(true);
-        assert!(pipelined.stage_pipeline());
-        // Under transient budget contention (other tests holding slots)
-        // a run may fall back to the sequential walk; equality must hold
-        // either way, and occupancy must appear once a run pipelines.
-        let mut engaged = false;
-        for _ in 0..50 {
-            let got = pipelined.predict_batch(&x).expect("pipelined");
-            assert_eq!(got, want, "pipelined logits must be bitwise identical");
-            engaged = pipelined
+        // One worker walks 64 + 64 + 22 rows; seven workers get fixed
+        // spans of ⌈150 / 7⌉ = 22 rows, one window each.
+        for (workers, windows) in [(1usize, 3u64), (7, 7)] {
+            let mut engine = lenet.clone().with_num_workers(workers);
+            engine.classify(&x).expect("classify");
+            let stats = engine.stage_stats();
+            assert_eq!(stats.len(), stages);
+            for s in &stats {
+                assert_eq!(s.occupancy.windows, windows, "{workers} workers, {s:?}");
+                assert!(s.occupancy.busy_nanos > 0, "{workers} workers, {s:?}");
+            }
+            if workers == 1 {
+                // The stage clocks run inside the engine's batch clock.
+                let staged: u64 = stats.iter().map(|s| s.occupancy.busy_nanos).sum();
+                assert!(staged <= engine.stats().busy_nanos);
+            } else {
+                // Shrinking the pool folds retired workers' timers in.
+                engine.set_num_workers(1);
+                assert_eq!(engine.stage_stats(), stats);
+            }
+            engine.reset_stats();
+            assert!(engine
                 .stage_stats()
                 .iter()
-                .any(|s| s.occupancy.windows > 0);
-            if engaged {
-                break;
-            }
+                .all(|s| s.occupancy == StageOccupancy::default()));
         }
-        assert!(engaged, "an 8-slot budget must eventually grant helpers");
-
-        let stats = pipelined.stage_stats();
-        assert_eq!(stats.len(), pipelined.deployed().num_stages());
-        for s in &stats {
-            if s.chip.optical {
-                assert!(s.chip.insertion_loss_db > 0.0);
-                assert!(s.chip.latency_ps > 0.0);
-            }
-        }
-        // reset_stats clears the occupancy half along with the counters.
-        pipelined.reset_stats();
-        assert!(pipelined
-            .stage_stats()
-            .iter()
-            .all(|s| s.occupancy == crate::deploy::StageOccupancy::default()));
     }
 
     #[test]

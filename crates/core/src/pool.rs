@@ -145,32 +145,6 @@ pub fn reserve_service_slot() -> ServiceSlot {
     ServiceSlot(reserve_workers(1))
 }
 
-/// A granted block of the shared worker budget backing one stage-pipelined
-/// walk (see `crate::deploy`): the calling thread plus `granted() − 1`
-/// helper threads, one per pipeline segment. Unlike [`run_scoped`] — whose
-/// executor workers must never block on each other — pipeline segments
-/// *do* block on their bounded inter-stage rings, so the walk runs its
-/// segments on short-lived scoped threads instead of borrowing parked
-/// executor workers; this reservation keeps that concurrency accounted
-/// against the same process-wide [`jobs`] budget. The share returns on
-/// drop (also on unwind).
-pub(crate) struct PipelineReservation(Reservation);
-
-impl PipelineReservation {
-    /// Total budget slots granted, the caller's own slot included.
-    pub(crate) fn granted(&self) -> usize {
-        self.0 .0
-    }
-}
-
-/// Reserves up to `wanted` budget slots (the caller's slot included) for
-/// a stage-pipelined walk. A grant of `0` or `1` leaves no room for
-/// helper threads: the caller should fall back to the sequential walk —
-/// which keeps a `--jobs 1` run exactly the sequential program.
-pub(crate) fn reserve_pipeline_workers(wanted: usize) -> PipelineReservation {
-    PipelineReservation(reserve_workers(wanted))
-}
-
 /// How many persistent executor threads are currently alive. Workers are
 /// spawned lazily by the first [`run_scoped`] call granted more than one
 /// budget slot and then persist for the process lifetime, parked on the

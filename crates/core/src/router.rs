@@ -492,9 +492,7 @@ struct Lane {
     input_dim: usize,
     queue_cap: usize,
     /// Scheduling weight: the deployment's optical stage count (deeper
-    /// meshes cost more per sample), floored at 1. A stage-pipelined
-    /// lane keeps the same weight — pipelining changes how the lane's
-    /// share is used, not how much work each queued sample represents.
+    /// meshes cost more per sample), floored at 1.
     weight: u64,
     /// This lane's slot in the router-wide [`FairShare`] registry.
     fair_id: u64,

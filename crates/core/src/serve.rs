@@ -825,7 +825,7 @@ impl Counters {
     }
 
     /// Publishes the serving engine's per-stage stats (chip reports plus
-    /// pipeline occupancy) for the next [`Counters::snapshot`].
+    /// per-stage windows and busy time) for the next [`Counters::snapshot`].
     pub(crate) fn publish_stages(&self, stages: Vec<StageStats>) {
         *relock(self.stages.lock()) = stages;
     }
@@ -879,10 +879,10 @@ pub struct ServerStats {
     /// The longest admission-to-flush wait any request has observed.
     pub max_wait_observed: Duration,
     /// Per-stage chip reports (mesh depth, insertion loss, latency) and
-    /// pipeline occupancy for the serving engine, one entry per deployed
-    /// stage, as of the last served flush. Empty before the first flush.
-    /// Occupancy counters stay zero unless the engine serves in
-    /// stage-pipelined mode ([`InferenceEngine::with_stage_pipeline`]).
+    /// occupancy (windows and busy time each stage spent serving) for
+    /// the serving engine, one entry per deployed stage, as of the last
+    /// served flush (see [`InferenceEngine::stage_stats`]). Empty before
+    /// the first flush.
     pub stage_stats: Vec<StageStats>,
 }
 
@@ -912,7 +912,6 @@ pub struct ServerBuilder {
     max_wait: Duration,
     queue_cap: usize,
     workers: Option<usize>,
-    stage_pipeline: Option<bool>,
     confidence: Option<Confidence>,
     drift: Option<PhaseDrift>,
 }
@@ -924,7 +923,6 @@ impl Default for ServerBuilder {
             max_wait: Duration::from_millis(1),
             queue_cap: 1024,
             workers: None,
-            stage_pipeline: None,
             confidence: None,
             drift: None,
         }
@@ -963,16 +961,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Serves through the engine's stage-pipelined walk (see
-    /// [`InferenceEngine::with_stage_pipeline`]): windows stream through
-    /// the deployed stages concurrently, results stay bitwise identical
-    /// to the sequential walk. When unset, the engine keeps whatever
-    /// mode it was built with.
-    pub fn stage_pipeline(mut self, on: bool) -> Self {
-        self.stage_pipeline = Some(on);
-        self
-    }
-
     /// Installs an early-exit [`Confidence`] policy: low-confidence
     /// samples resolve to [`Prediction::Abstain`] and are counted in
     /// [`ServerStats::abstained`].
@@ -997,9 +985,6 @@ impl ServerBuilder {
     pub fn serve_engine(self, mut engine: InferenceEngine) -> Server {
         if let Some(w) = self.workers {
             engine.set_num_workers(w);
-        }
-        if let Some(on) = self.stage_pipeline {
-            engine.set_stage_pipeline(on);
         }
         let input_dim = engine.input_dim();
         let (tx, rx) = mpsc::sync_channel::<Envelope>(self.queue_cap);
@@ -1746,7 +1731,7 @@ impl EngineRack {
     }
 
     /// The current serving engine's per-stage stats (chip reports plus
-    /// pipeline occupancy), published into counters after each flush.
+    /// per-stage timers), published into counters after each flush.
     pub(crate) fn stage_stats(&self) -> Vec<StageStats> {
         self.current.stage_stats()
     }
@@ -2245,6 +2230,14 @@ mod tests {
             assert!(s.chip.insertion_loss_db > 0.0);
             assert!(s.chip.latency_ps > 0.0);
             assert!(s.chip.mesh_depth > 0);
+        }
+        // Every flush runs the timed staged walk.
+        for s in &stats.stage_stats {
+            assert!(
+                s.occupancy.windows > 0,
+                "stage {} never timed",
+                s.chip.stage
+            );
         }
     }
 

@@ -32,17 +32,10 @@ pub const ORDER_SENSITIVE_PATHS: &[&str] = &[
 /// every metric key the bench references must exist in its baseline,
 /// otherwise the perf gate erodes silently (a missing key used to fail
 /// loudly only at bench runtime, on a runner with matching metadata).
-/// A bench may appear in several pairs (`bench_smoke` gates both the
-/// kernel and the stage-pipeline baselines); its keys are then checked
+/// A bench may appear in several pairs; its keys are then checked
 /// against the union of the paired baselines.
-pub const BENCH_BASELINE_PAIRS: &[(&str, &str)] = &[
-    ("crates/bench/benches/bench_smoke.rs", "BENCH_kernels.json"),
-    ("crates/bench/benches/bench_smoke.rs", "BENCH_pipeline.json"),
-    (
-        "crates/bench/benches/stage_pipeline.rs",
-        "BENCH_pipeline.json",
-    ),
-];
+pub const BENCH_BASELINE_PAIRS: &[(&str, &str)] =
+    &[("crates/bench/benches/bench_smoke.rs", "BENCH_kernels.json")];
 
 /// Workspace-local stand-ins for crates.io dependencies. Panicking is
 /// part of the API they emulate (`proptest` assertion failures,

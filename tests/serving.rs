@@ -1,13 +1,12 @@
 //! Integration tests for the parallel serving core: sharded engine
 //! batches must be bitwise identical to the sequential path across worker
-//! counts, the opt-in stage pipeline must be bitwise identical to the
-//! sequential staged walk (property-pinned across worker counts and batch
-//! sizes straddling the inter-stage ring capacity), streaming evaluation
+//! counts (property-pinned across batch sizes spanning two and three
+//! serving windows, for an FCNN and a deep conv body), streaming evaluation
 //! must agree with one-shot evaluation, Arc-backed dataset views must not
 //! alias mutations across grid arms, and repeated deployments must be
 //! served from the decomposition cache.
 //!
-//! The CI matrix runs this binary under `OPLIX_JOBS ∈ {2, 7}`; nothing
+//! The CI matrix runs this binary under `OPLIX_JOBS ∈ {1, 2, 7}`; nothing
 //! here may depend on the worker budget.
 
 use oplix_datasets::assign::AssignmentKind;
@@ -191,17 +190,14 @@ fn image_view(n: usize, c: usize, h: usize, w: usize, seed: u64) -> CTensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The opt-in stage pipeline is **bitwise identical** to the
-    /// sequential staged walk — same logits, same classes — across
-    /// engine worker counts {1, 2, 7} and batch sizes straddling the
-    /// inter-stage ring capacity
-    /// ([`oplixnet::deploy::STAGE_RING_WINDOWS`] windows of 64 samples
-    /// in flight), for a two-stage FCNN and a deep LeNet conv body. On
-    /// a single-core budget the pipeline degrades to the sequential
-    /// walk itself; the CI `pipeline` job re-runs this binary under
-    /// `OPLIX_JOBS ∈ {2, 7}`, where helper stages actually engage.
+    /// The sharded staged walk is **bitwise identical** to the
+    /// sequential one — same logits, same classes — across engine worker
+    /// counts {1, 2, 7} and batch sizes spanning two and three 64-sample
+    /// serving windows, for a two-stage FCNN and a deep LeNet conv body.
+    /// The CI `sharded` job re-runs this binary under
+    /// `OPLIX_JOBS ∈ {1, 2, 7}`.
     #[test]
-    fn stage_pipeline_is_bitwise_identical_to_sequential_walk(
+    fn sharded_walk_is_bitwise_identical_to_sequential_walk(
         samples in 97usize..=192,
         workers_ix in 0usize..3,
     ) {
@@ -213,11 +209,10 @@ proptest! {
         let want = engine(61, input)
             .predict_batch(&test.inputs)
             .expect("sequential FCNN");
-        let mut piped = engine(61, input)
+        let got = engine(61, input)
             .with_num_workers(workers)
-            .with_stage_pipeline(true);
-        prop_assert!(piped.stage_pipeline());
-        let got = piped.predict_batch(&test.inputs).expect("pipelined FCNN");
+            .predict_batch(&test.inputs)
+            .expect("sharded FCNN");
         prop_assert_eq!(&got, &want, "FCNN: {} workers, {} samples", workers, samples);
 
         // Deep conv body (conv-pool-conv-pool-fc-fc-fc).
@@ -225,9 +220,8 @@ proptest! {
         let want = lenet_engine(67).classify(&view).expect("sequential LeNet");
         let got = lenet_engine(67)
             .with_num_workers(workers)
-            .with_stage_pipeline(true)
             .classify(&view)
-            .expect("pipelined LeNet");
+            .expect("sharded LeNet");
         prop_assert_eq!(got, want, "LeNet: {} workers, {} samples", workers, samples);
     }
 }
