@@ -23,7 +23,7 @@ use oplix_nn::head::{LinearDecoderHead, UnitaryDecoderHead};
 use oplix_nn::layers::{CAvgPool2d, CConv2d, CDense, CFlatten, CRelu};
 use oplix_nn::network::Network;
 pub use oplix_photonics::compiled::Fidelity;
-use oplix_photonics::compiled::{CompiledLayer, GatherSource};
+use oplix_photonics::compiled::{CompiledLayer, ConvGeometry, GatherSource};
 use oplix_photonics::count::DeviceCount;
 use oplix_photonics::loss_model::OpticalLossModel;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
@@ -47,9 +47,9 @@ pub struct ForwardBuffers {
 
 /// Reusable field buffers for [`DeployedFcnn::forward_window_into`], the
 /// windowed batch path: ping-pong buffers sized `window × stage width`
-/// plus a gather scratch for conv stages. After warm-up none reallocates,
-/// so a serving worker pushes whole sample windows through compiled
-/// kernels allocation-free.
+/// plus a gather scratch for conv stages on the golden walk. After
+/// warm-up none reallocates, so a serving worker pushes whole sample
+/// windows through compiled kernels allocation-free.
 ///
 /// The buffers also keep the per-stage timers of every walk run through
 /// them ([`StageOccupancy`], in stage order), which
@@ -149,18 +149,23 @@ pub(crate) struct ConvStage {
     pub(crate) layer: PhotonicLayer,
     /// The compiled form of `layer`; the serving hot path.
     compiled: CompiledLayer,
-    /// The im2col gather: `positions × (patch_len + 1)` sources.
+    /// The input shape, kernel, stride and padding the stage convolves
+    /// with.
+    geometry: ConvGeometry,
+    /// The im2col gather of the golden walk: `H'·W' × (patch_len + 1)`
+    /// sources.
     plan: Arc<Vec<GatherSource>>,
-    /// Convolution output positions `H'·W'` (mesh rows per sample).
-    positions: usize,
     /// Output channels of the convolution.
     out_ch: usize,
-    /// Flattened input features `C·H·W`.
-    in_features: usize,
-    /// Flattened output features `out_ch·H'·W'`.
-    out_features: usize,
     /// Apply the electro-optic split ReLU after this stage.
     relu_after: bool,
+}
+
+impl ConvStage {
+    /// Flattened output features `out_ch·H'·W'`.
+    fn out_features(&self) -> usize {
+        self.out_ch * self.geometry.positions()
+    }
 }
 
 /// Electronic average pooling between optical stages: like the split
@@ -198,7 +203,7 @@ impl DeployedStage {
         match self {
             // Minus the always-on bias reference mode.
             DeployedStage::Mesh(s) => s.layer.input_dim() - 1,
-            DeployedStage::Conv(s) => s.in_features,
+            DeployedStage::Conv(s) => s.geometry.in_features(),
             DeployedStage::Pool(s) => s.in_features,
         }
     }
@@ -207,7 +212,7 @@ impl DeployedStage {
     fn output_width(&self) -> usize {
         match self {
             DeployedStage::Mesh(s) => s.layer.output_dim(),
-            DeployedStage::Conv(s) => s.out_features,
+            DeployedStage::Conv(s) => s.out_features(),
             DeployedStage::Pool(s) => s.out_features,
         }
     }
@@ -268,32 +273,35 @@ impl DeployedStage {
                 st.compiled.forward_batch_at(fidelity, cur, nxt, samples);
                 (st.layer.output_dim(), st.relu_after)
             }
+            DeployedStage::Conv(st) if fidelity == Fidelity::Transfer => {
+                // Direct convolution over the channel-major planes: the
+                // output lands channel-major, as the software conv's.
+                st.compiled
+                    .forward_conv(&st.geometry, &cur[..samples * width], nxt);
+                std::mem::swap(cur, nxt);
+                (st.out_features(), st.relu_after)
+            }
             DeployedStage::Conv(st) => {
                 // im2col: gather every output position's patch (bias
                 // on the reference mode) and push the patch rows through
-                // the compiled layer.
-                st.compiled.forward_gathered(
-                    fidelity,
-                    &cur[..samples * width],
-                    width,
-                    &st.plan,
-                    nxt,
-                    aux,
-                );
+                // the golden meshes.
+                st.compiled
+                    .forward_gathered(&cur[..samples * width], width, &st.plan, nxt, aux);
                 // Mesh rows come back position-major `[P][O]`; the
                 // software conv layout is channel-major `[O, H'·W']`.
+                let (positions, out_features) = (st.geometry.positions(), st.out_features());
                 cur.clear();
-                cur.resize(samples * st.out_features, Complex64::ZERO);
+                cur.resize(samples * out_features, Complex64::ZERO);
                 for s in 0..samples {
-                    let rows = &nxt[s * st.positions * st.out_ch..][..st.positions * st.out_ch];
-                    let dst = &mut cur[s * st.out_features..][..st.out_features];
-                    for p in 0..st.positions {
+                    let rows = &nxt[s * positions * st.out_ch..][..positions * st.out_ch];
+                    let dst = &mut cur[s * out_features..][..out_features];
+                    for p in 0..positions {
                         for o in 0..st.out_ch {
-                            dst[o * st.positions + p] = rows[p * st.out_ch + o];
+                            dst[o * positions + p] = rows[p * st.out_ch + o];
                         }
                     }
                 }
-                (st.out_features, st.relu_after)
+                (out_features, st.relu_after)
             }
             DeployedStage::Pool(st) => {
                 // Electronic average pooling: detect, average the k²
@@ -1462,11 +1470,16 @@ fn deploy_conv(
     Ok(ConvStage {
         layer: kernels.layer,
         compiled: kernels.compiled,
+        geometry: ConvGeometry {
+            channels: c,
+            height: h,
+            width: w,
+            kernel,
+            stride,
+            pad,
+        },
         plan: Arc::new(plan),
-        positions,
         out_ch,
-        in_features: c * h * w,
-        out_features: out_ch * positions,
         relu_after: false,
     })
 }
@@ -1970,6 +1983,34 @@ mod tests {
                     "sample {i} class {k}: optical {} vs software {s}",
                     optical[k]
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn conv_geometry_output_shape_is_the_software_layers() {
+        // The direct kernel sizes its output from `ConvGeometry`; the
+        // software layer and the Golden gather plan from `CConv2d`.
+        let mut rng = StdRng::seed_from_u64(21);
+        for kernel in [1, 3, 5] {
+            for pad in 0..=2 {
+                for stride in 1..=2 {
+                    let conv = CConv2d::new(2, 3, kernel, stride, pad, &mut rng);
+                    let fits = (1..=17).filter(|side| side + 2 * pad >= kernel);
+                    for (height, width) in
+                        fits.clone().flat_map(|h| fits.clone().map(move |w| (h, w)))
+                    {
+                        let g = ConvGeometry {
+                            channels: 2,
+                            height,
+                            width,
+                            kernel,
+                            stride,
+                            pad,
+                        };
+                        assert_eq!(g.out_hw(), conv.output_hw(height, width), "{g:?}");
+                    }
+                }
             }
         }
     }

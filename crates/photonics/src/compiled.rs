@@ -52,11 +52,19 @@
 //! [`Fidelity::Golden`] is the MZI-by-MZI walk, bitwise the interpreted
 //! layer, and stays the reference `Transfer` is tolerance-pinned against.
 //! Within each tier, lane sweeps and scalar tails are bitwise equal.
+//!
+//! **Convolutions.** A conv layer lowers to one im2col kernel matrix that
+//! serves every output position. At [`Fidelity::Transfer`]
+//! [`CompiledLayer::forward_conv`] convolves the input planes directly with
+//! `T`, with no patch staging; at [`Fidelity::Golden`]
+//! [`CompiledLayer::forward_gathered`] gathers the patch rows and walks
+//! them through the meshes. The direct kernel is bitwise the gathered
+//! rows served at `Transfer`.
 
 use crate::devices::Mzi;
 use crate::mesh::MziMesh;
 use crate::svd_map::PhotonicLayer;
-use oplix_linalg::lanes::{cmul_splat_lhs, cmul_splat_rhs, F64x4, Lane};
+use oplix_linalg::lanes::{cmul_splat_lhs, cmul_splat_rhs, F64x4, F64x8, Lane};
 use oplix_linalg::Complex64;
 
 std::thread_local! {
@@ -66,7 +74,8 @@ std::thread_local! {
     /// after warm-up, batched propagation allocates nothing per window.
     /// The [`CompiledLayer`] entry points propagate one row tile at a
     /// time (see [`tile_rows`]), so on the serving path it never outgrows
-    /// one tile. The transfer sweep stages one lane chunk of rows in it.
+    /// one tile. The transfer sweep stages one lane chunk of rows in it,
+    /// and the direct conv one sample's zero-bordered input planes.
     static MODE_MAJOR_SCRATCH: std::cell::RefCell<Vec<f64>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -102,6 +111,12 @@ fn tile_rows(width: usize) -> usize {
 /// is loaded once per block instead of once per output.
 const TRANSFER_BLOCK: usize = 4;
 
+/// Output channels [`CompiledLayer::forward_conv`] accumulates per register
+/// block: sixteen live accumulators, and each tap's lanes are loaded once
+/// for up to eight channels, so both LeNet convs (3 and 6 channels) run as
+/// one block.
+const CONV_BLOCK: usize = 8;
+
 /// Which kernel a [`CompiledLayer`] runs its rows through.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Fidelity {
@@ -115,6 +130,68 @@ pub enum Fidelity {
     /// bitwise only against itself.
     #[default]
     Transfer,
+}
+
+/// A planar kernel body written once over a generic lane width; [`dispatch`]
+/// runs it at the widest tier the CPU has.
+trait LaneKernel {
+    /// The body at lane width `V`. Implementations are `#[inline(always)]`,
+    /// so the body compiles inside the `#[target_feature]` clone that calls
+    /// it.
+    fn run<V: Lane<f64>>(self);
+}
+
+/// Runs `kernel` at the widest lane tier the CPU supports: AVX-512F at
+/// [`F64x8`], AVX2 at [`F64x4`], else portable [`F64x4`]. Every tier runs
+/// the identical portable body (same operations, same order, no FMA; see
+/// [`oplix_linalg::lanes`]), so the tier never changes a result bit.
+fn dispatch(kernel: impl LaneKernel) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if oplix_linalg::lanes::avx512f_available() {
+            // SAFETY: AVX-512F was just verified at runtime.
+            unsafe { run_avx512(kernel) };
+            return;
+        }
+        if oplix_linalg::lanes::avx2_available() {
+            // SAFETY: AVX2 was just verified at runtime.
+            unsafe { run_avx2(kernel) };
+            return;
+        }
+    }
+    kernel.run::<F64x4>();
+}
+
+// SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the only
+// caller, `dispatch`, gates on `avx512f_available()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_avx512(kernel: impl LaneKernel) {
+    kernel.run::<F64x8>();
+}
+
+// SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the only
+// caller, `dispatch`, gates on `avx2_available()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2(kernel: impl LaneKernel) {
+    kernel.run::<F64x4>();
+}
+
+/// [`CompiledMesh::mode_major_batch`] over one planar window.
+struct ModeMajor<'a> {
+    mesh: &'a CompiledMesh,
+    fields: &'a mut [Complex64],
+    scratch: &'a mut [f64],
+    samples: usize,
+}
+
+impl LaneKernel for ModeMajor<'_> {
+    #[inline(always)]
+    fn run<V: Lane<f64>>(self) {
+        self.mesh
+            .mode_major_batch::<V>(self.fields, self.scratch, self.samples);
+    }
 }
 
 /// One MZI butterfly swept across a whole planar sample window: the four
@@ -388,56 +465,13 @@ impl CompiledMesh {
             if scratch.len() < planar_len {
                 scratch.resize(planar_len, 0.0);
             }
-            let scratch = &mut scratch[..planar_len];
-            #[cfg(target_arch = "x86_64")]
-            {
-                if oplix_linalg::lanes::avx512f_available() {
-                    // SAFETY: AVX-512F was just verified at runtime; the
-                    // clone is the identical portable lane body
-                    // monomorphised at 8 lanes (same operations, same
-                    // order), so results are bitwise unchanged — see
-                    // `oplix_linalg::lanes`.
-                    unsafe { self.mode_major_batch_avx512(fields, scratch, samples) };
-                    return;
-                }
-                if oplix_linalg::lanes::avx2_available() {
-                    // SAFETY: AVX2 was just verified at runtime; the clone
-                    // is the identical portable lane body at 4 lanes, so
-                    // results are bitwise unchanged.
-                    unsafe { self.mode_major_batch_avx2(fields, scratch, samples) };
-                    return;
-                }
-            }
-            self.mode_major_batch::<F64x4>(fields, scratch, samples);
+            dispatch(ModeMajor {
+                mesh: self,
+                fields,
+                scratch: &mut scratch[..planar_len],
+                samples,
+            });
         });
-    }
-
-    // SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the
-    // only caller gates on `avx512f_available()`. The body is the same
-    // portable `mode_major_batch`, monomorphised at 8 lanes.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn mode_major_batch_avx512(
-        &self,
-        fields: &mut [Complex64],
-        scratch: &mut [f64],
-        samples: usize,
-    ) {
-        self.mode_major_batch::<oplix_linalg::lanes::F64x8>(fields, scratch, samples);
-    }
-
-    // SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the
-    // only caller gates on `avx2_available()`. The body is the same
-    // portable `mode_major_batch`, monomorphised at 4 lanes.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mode_major_batch_avx2(
-        &self,
-        fields: &mut [Complex64],
-        scratch: &mut [f64],
-        samples: usize,
-    ) {
-        self.mode_major_batch::<F64x4>(fields, scratch, samples);
     }
 
     /// The planar mode-major kernel body, generic over the lane width the
@@ -555,9 +589,9 @@ fn live_cone(mesh: &MziMesh, live: usize) -> Vec<&Mzi> {
 
 /// Where one gathered input mode of [`CompiledLayer::forward_gathered`]
 /// takes its field from. An im2col lowering of a convolution builds one
-/// `GatherSource` per mesh input mode per output position: in-bounds patch
-/// taps read input fields, padding taps are dark modes, and the bias tap
-/// is the always-on reference mode.
+/// `GatherSource` per mesh input mode per output position for the golden
+/// walk: in-bounds patch taps read input fields, padding taps are dark
+/// modes, and the bias tap is the always-on reference mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GatherSource {
     /// Read the field at this index of the source sample.
@@ -621,6 +655,60 @@ pub fn gather_into(plan: &[GatherSource], sample: &[Complex64], dst: &mut [Compl
                 dst[start..i].fill(Complex64::ONE);
             }
         }
+    }
+}
+
+/// The geometry of a convolution served by [`CompiledLayer::forward_conv`]:
+/// `channels` input planes of `height × width` fields, a square `kernel`,
+/// and the `stride` and zero padding `pad` of both spatial axes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConvGeometry {
+    /// Input channels `C`.
+    pub channels: usize,
+    /// Input height `H`.
+    pub height: usize,
+    /// Input width `W`.
+    pub width: usize,
+    /// Kernel side `k`.
+    pub kernel: usize,
+    /// Stride of both spatial axes.
+    pub stride: usize,
+    /// Zero padding on every side.
+    pub pad: usize,
+}
+
+impl ConvGeometry {
+    /// Output spatial shape `(H', W')`, each `(in + 2·pad − k) / stride + 1`
+    /// (floored).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stride is zero or the kernel is larger than the padded
+    /// input.
+    pub fn out_hw(&self) -> (usize, usize) {
+        assert!(self.stride > 0, "stride must be positive");
+        let side = |input: usize| {
+            let padded = input + 2 * self.pad;
+            assert!(padded >= self.kernel, "kernel larger than padded input");
+            (padded - self.kernel) / self.stride + 1
+        };
+        (side(self.height), side(self.width))
+    }
+
+    /// Output positions `H'·W'`: the mesh rows one sample runs as.
+    pub fn positions(&self) -> usize {
+        let (oh, ow) = self.out_hw();
+        oh * ow
+    }
+
+    /// Flattened input features `C·H·W` of one sample.
+    pub fn in_features(&self) -> usize {
+        self.channels * self.height * self.width
+    }
+
+    /// Patch taps `C·k²`: the mesh fan-in without the bias tap.
+    pub fn patch_len(&self) -> usize {
+        self.channels * self.kernel * self.kernel
     }
 }
 
@@ -744,27 +832,24 @@ impl CompiledLayer {
         std::mem::swap(io, tmp);
     }
 
-    /// Batched forward over *im2col windows*: every sample of `src` (a
-    /// contiguous window of `src.len() / src_width` samples, each
+    /// Golden batched forward over *im2col windows*: every sample of `src`
+    /// (a contiguous window of `src.len() / src_width` samples, each
     /// `src_width` fields wide) is expanded into `plan.len() / input_dim`
-    /// gathered rows — one per convolution output position. `plan` maps
+    /// gathered rows, one per convolution output position. `plan` maps
     /// each gathered mode to its source: an input field, a dark
     /// (zero-padding) mode, or the always-on reference (bias) mode. Row
     /// `r` is position `r % positions` of sample `r / positions`.
     ///
     /// The full `samples × positions × input_dim` patch buffer never
-    /// exists. At [`Fidelity::Golden`] the rows are gathered one tile at a
-    /// time into `tmp` and each tile runs straight through the meshes into
-    /// its output rows (a tile may start or end inside a sample). At
-    /// [`Fidelity::Transfer`] `tmp` holds the window with a dark and a
-    /// reference field appended to every sample, and the transfer sweep
-    /// gathers each lane chunk of rows straight into its planar registers'
-    /// staging.
+    /// exists: the rows are gathered one tile at a time into `tmp`, and
+    /// each tile runs straight through the meshes into its output rows (a
+    /// tile may start or end inside a sample). [`Fidelity::Transfer`]
+    /// serves convolutions through [`CompiledLayer::forward_conv`] instead.
     ///
     /// On exit `io` holds `samples × rows_per_sample × output_dim` fields,
     /// row-major in `(sample, row)` order. Bitwise identical to gathering
     /// each row by hand and running it through
-    /// [`CompiledLayer::forward_batch_at`] at the same fidelity.
+    /// [`CompiledLayer::forward_batch`].
     ///
     /// # Panics
     ///
@@ -773,7 +858,6 @@ impl CompiledLayer {
     /// `src_width`, or a plan entry indexes past `src_width`.
     pub fn forward_gathered(
         &self,
-        fidelity: Fidelity,
         src: &[Complex64],
         src_width: usize,
         plan: &[GatherSource],
@@ -794,29 +878,6 @@ impl CompiledLayer {
         io.clear();
         io.resize(rows * m, Complex64::ZERO);
         tmp.clear();
-        if fidelity == Fidelity::Transfer {
-            // Past the sample width a padded sample holds the dark and
-            // reference fields, so an out-of-range tap would not panic on
-            // its own.
-            assert!(
-                plan.iter()
-                    .all(|g| !matches!(*g, GatherSource::Input(j) if j as usize >= src_width)),
-                "gather plan indexes past the sample width"
-            );
-            for sample in src.chunks_exact(src_width) {
-                tmp.extend_from_slice(sample);
-                tmp.extend([Complex64::ZERO, Complex64::ONE]);
-            }
-            let gathered = GatheredRows {
-                padded: tmp,
-                width: src_width + 2,
-                plan,
-                n,
-                positions,
-            };
-            self.transfer(&gathered, io, rows);
-            return;
-        }
         let tile = tile_rows(n.max(m));
         tmp.resize(tile.min(rows) * n, Complex64::ZERO);
         for r0 in (0..rows).step_by(tile) {
@@ -832,6 +893,63 @@ impl CompiledLayer {
             }
             self.tile_forward(gathered, &mut io[r0 * m..r1 * m], r1 - r0);
         }
+    }
+
+    /// A convolution at [`Fidelity::Transfer`], computed directly over the
+    /// input planes. `src` holds a window of samples, each `C·H·W` fields
+    /// channel-major (`[C, H, W]`, row-major); on exit `io` holds each
+    /// sample's `output_dim · H'·W'` outputs channel-major
+    /// (`[output_dim, H', W']`). The layer is the im2col kernel matrix:
+    /// input `j < C·k²` of `T` is patch tap `(c, ky, kx)` in that order,
+    /// and the last input is the bias tap.
+    ///
+    /// Each sample is copied once into zero-bordered planar planes (re and
+    /// im lines apart, each row split by column phase when the stride is
+    /// above one, so every tap loads contiguous lanes). Then, for each output row, each lane chunk of
+    /// output columns and each register block of output channels, the
+    /// kernel accumulates `acc + t_oj · x_j` over the taps in im2col order
+    /// with [`cmul_splat_lhs`], and the bias tap last as `t_ob · (1 + 0i)`.
+    /// A padding tap multiplies the plane's `+0` border, as the dark mode
+    /// of a gathered row does. So every output gets the operations of its
+    /// gathered row in the same order, and the result is bitwise identical
+    /// to gathering each patch (see [`gather_into`]), running the rows
+    /// through [`CompiledLayer::forward_batch_at`] at
+    /// [`Fidelity::Transfer`] and scattering them channel-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CompiledLayer::input_dim`] is not
+    /// [`ConvGeometry::patch_len`]` + 1`, the kernel does not fit the
+    /// padded input (see [`ConvGeometry::out_hw`]), or `src.len()` is not a
+    /// multiple of `C·H·W`.
+    pub fn forward_conv(
+        &self,
+        geometry: &ConvGeometry,
+        src: &[Complex64],
+        io: &mut Vec<Complex64>,
+    ) {
+        assert_eq!(
+            self.n,
+            geometry.patch_len() + 1,
+            "layer fan-in must be the conv patch plus the bias tap"
+        );
+        let in_features = geometry.in_features();
+        assert!(
+            in_features > 0 && src.len().is_multiple_of(in_features),
+            "source window length must be a multiple of C·H·W"
+        );
+        let out_features = self.m * geometry.positions();
+        // The kernel writes every output, so stale fields need no zeroing.
+        io.resize(src.len() / in_features * out_features, Complex64::ZERO);
+        MODE_MAJOR_SCRATCH.with(|cell| {
+            dispatch(ConvKernel {
+                layer: self,
+                geometry: *geometry,
+                src,
+                out: io,
+                planes: &mut cell.borrow_mut(),
+            });
+        });
     }
 
     /// Golden compiled forward pass over a window of `samples` contiguous
@@ -876,14 +994,7 @@ impl CompiledLayer {
         tmp.clear();
         tmp.resize(samples * self.m, Complex64::ZERO);
         if fidelity == Fidelity::Transfer {
-            self.transfer(
-                &DenseRows {
-                    fields: io,
-                    n: self.n,
-                },
-                tmp,
-                samples,
-            );
+            self.transfer(io, tmp, samples);
         } else {
             let tile = tile_rows(self.n.max(self.m));
             for r0 in (0..samples).step_by(tile) {
@@ -912,64 +1023,24 @@ impl CompiledLayer {
         self.u.propagate_batch(output, rows);
     }
 
-    /// `output = T·x` for rows `0..rows` of `src` (`output` is `rows × m`,
-    /// sample-major), dispatched to the widest lane tier the CPU has, as
-    /// [`CompiledMesh::propagate_batch`] is.
-    fn transfer(&self, src: &impl RowFields, output: &mut [Complex64], rows: usize) {
+    /// `output = T·x` for rows `0..rows` of `src` (`rows × n` in,
+    /// `rows × m` out, sample-major), at the widest lane tier the CPU has.
+    fn transfer(&self, src: &[Complex64], output: &mut [Complex64], rows: usize) {
         MODE_MAJOR_SCRATCH.with(|cell| {
             let mut planar = cell.borrow_mut();
             // One lane chunk of planar inputs at the widest tier.
-            let len = 2 * self.n * oplix_linalg::lanes::F64x8::LANES;
+            let len = 2 * self.n * F64x8::LANES;
             if planar.len() < len {
                 planar.resize(len, 0.0);
             }
-            #[cfg(target_arch = "x86_64")]
-            {
-                if oplix_linalg::lanes::avx512f_available() {
-                    // SAFETY: AVX-512F was just verified at runtime; the
-                    // clone is the identical portable sweep at 8 lanes.
-                    unsafe { self.transfer_avx512(src, output, rows, &mut planar) };
-                    return;
-                }
-                if oplix_linalg::lanes::avx2_available() {
-                    // SAFETY: AVX2 was just verified at runtime; the clone
-                    // is the identical portable sweep at 4 lanes.
-                    unsafe { self.transfer_avx2(src, output, rows, &mut planar) };
-                    return;
-                }
-            }
-            self.transfer_rows::<F64x4>(src, output, rows, &mut planar);
+            dispatch(TransferKernel {
+                layer: self,
+                src,
+                output,
+                rows,
+                planar: &mut planar,
+            });
         });
-    }
-
-    // SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the
-    // only caller gates on `avx512f_available()`. The body is the same
-    // portable `transfer_rows`, monomorphised at 8 lanes.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn transfer_avx512(
-        &self,
-        src: &impl RowFields,
-        output: &mut [Complex64],
-        rows: usize,
-        planar: &mut [f64],
-    ) {
-        self.transfer_rows::<oplix_linalg::lanes::F64x8>(src, output, rows, planar);
-    }
-
-    // SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the
-    // only caller gates on `avx2_available()`. The body is the same
-    // portable `transfer_rows`, monomorphised at 4 lanes.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn transfer_avx2(
-        &self,
-        src: &impl RowFields,
-        output: &mut [Complex64],
-        rows: usize,
-        planar: &mut [f64],
-    ) {
-        self.transfer_rows::<F64x4>(src, output, rows, planar);
     }
 
     /// The transfer sweep, generic over the lane width the dispatch tier
@@ -984,7 +1055,7 @@ impl CompiledLayer {
     #[inline(always)]
     fn transfer_rows<V: Lane<f64>>(
         &self,
-        src: &impl RowFields,
+        src: &[Complex64],
         output: &mut [Complex64],
         rows: usize,
         planar: &mut [f64],
@@ -994,10 +1065,10 @@ impl CompiledLayer {
         let full = rows - rows % lanes;
         for c in (0..full).step_by(lanes) {
             for l in 0..lanes {
-                src.each(c + l, |j, x| {
+                for (j, x) in src[(c + l) * n..][..n].iter().enumerate() {
                     planar[2 * j * lanes + l] = x.re;
                     planar[(2 * j + 1) * lanes + l] = x.im;
-                });
+                }
             }
             let out = &mut output[c * m..(c + lanes) * m];
             let mut o = 0;
@@ -1012,14 +1083,15 @@ impl CompiledLayer {
                 _ => {}
             }
         }
-        for (r, y) in (full..rows).zip(output[full * m..rows * m].chunks_exact_mut(m)) {
+        let tail = output[full * m..rows * m].chunks_exact_mut(m);
+        for (y, x) in tail.zip(src[full * n..rows * n].chunks_exact(n)) {
             y.fill(Complex64::ZERO);
-            src.each(r, |j, x| {
+            for (j, &x) in x.iter().enumerate() {
                 for (i, acc) in y.iter_mut().enumerate() {
                     let t = Complex64::new(self.t_re[i * n + j], self.t_im[i * n + j]);
                     *acc += t * x;
                 }
-            });
+            }
         }
     }
 
@@ -1056,53 +1128,182 @@ impl CompiledLayer {
     }
 }
 
-/// Where the transfer sweep reads each row's input fields from.
-trait RowFields {
-    /// Calls `f(j, x_j)` for every input field of row `r`, `j` strictly
-    /// ascending.
-    fn each(&self, r: usize, f: impl FnMut(usize, Complex64));
+/// [`CompiledLayer::transfer_rows`] over one window.
+struct TransferKernel<'a> {
+    layer: &'a CompiledLayer,
+    src: &'a [Complex64],
+    output: &'a mut [Complex64],
+    rows: usize,
+    planar: &'a mut [f64],
 }
 
-/// Contiguous sample-major rows, `n` fields each.
-struct DenseRows<'a> {
-    fields: &'a [Complex64],
-    n: usize,
-}
-
-impl RowFields for DenseRows<'_> {
+impl LaneKernel for TransferKernel<'_> {
     #[inline(always)]
-    fn each(&self, r: usize, mut f: impl FnMut(usize, Complex64)) {
-        for (j, &x) in self.fields[r * self.n..][..self.n].iter().enumerate() {
-            f(j, x);
+    fn run<V: Lane<f64>>(self) {
+        self.layer
+            .transfer_rows::<V>(self.src, self.output, self.rows, self.planar);
+    }
+}
+
+/// [`CompiledLayer::forward_conv`] over one window: `src` is the
+/// channel-major input window, `out` the channel-major output window (every
+/// field is overwritten), `planes` the reusable plane scratch.
+struct ConvKernel<'a> {
+    layer: &'a CompiledLayer,
+    geometry: ConvGeometry,
+    src: &'a [Complex64],
+    out: &'a mut [Complex64],
+    planes: &'a mut Vec<f64>,
+}
+
+impl LaneKernel for ConvKernel<'_> {
+    /// Copies each sample into the planes, then sweeps every output row,
+    /// a register block of output channels at a time.
+    #[inline(always)]
+    fn run<V: Lane<f64>>(self) {
+        let ConvKernel {
+            layer,
+            geometry: g,
+            src,
+            out,
+            planes,
+        } = self;
+        let (oh, ow) = g.out_hw();
+        let (hp, wp, stride) = (g.height + 2 * g.pad, g.width + 2 * g.pad, g.stride);
+        // Plane `c` is `hp` padded rows. A row is split by column phase
+        // `px % stride` into `stride` pairs of lines (re, then im) of `span`
+        // doubles, so the columns `(ox0 + l)·stride + kx` one tap reads
+        // across a lane chunk sit contiguous in phase `kx % stride`, from
+        // index `ox0 + kx / stride`. A line spans every index the last
+        // chunk reads: the lanes past `ow` read zero slack and are dropped.
+        let span = wp
+            .div_ceil(stride)
+            .max(ow.div_ceil(V::LANES) * V::LANES + (g.kernel - 1) / stride);
+        let row = 2 * stride * span;
+        planes.clear();
+        planes.resize(g.channels * hp * row, 0.0);
+        let m = layer.m;
+        let samples = src.chunks_exact(g.in_features());
+        for (x, y) in samples.zip(out.chunks_exact_mut(m * oh * ow)) {
+            // Only the interior is written, so the border and the slack
+            // stay +0 for every sample.
+            let interiors = planes.chunks_exact_mut(hp * row);
+            for (plane, channel) in interiors.zip(x.chunks_exact(g.height * g.width)) {
+                for (iy, line) in channel.chunks_exact(g.width).enumerate() {
+                    let padded = &mut plane[(iy + g.pad) * row..][..row];
+                    let (mut phase, mut at) = (g.pad % stride, g.pad / stride);
+                    for z in line {
+                        padded[2 * phase * span + at] = z.re;
+                        padded[(2 * phase + 1) * span + at] = z.im;
+                        phase += 1;
+                        if phase == stride {
+                            (phase, at) = (0, at + 1);
+                        }
+                    }
+                }
+            }
+            let sweep = ConvSweep {
+                layer,
+                g,
+                out_hw: (oh, ow),
+                span,
+                planes,
+            };
+            for oy in 0..oh {
+                let mut o = 0;
+                while o + CONV_BLOCK <= m {
+                    sweep.block::<V, CONV_BLOCK>(y, oy, o);
+                    o += CONV_BLOCK;
+                }
+                match m - o {
+                    1 => sweep.block::<V, 1>(y, oy, o),
+                    2 => sweep.block::<V, 2>(y, oy, o),
+                    3 => sweep.block::<V, 3>(y, oy, o),
+                    4 => sweep.block::<V, 4>(y, oy, o),
+                    5 => sweep.block::<V, 5>(y, oy, o),
+                    6 => sweep.block::<V, 6>(y, oy, o),
+                    7 => sweep.block::<V, 7>(y, oy, o),
+                    _ => {}
+                }
+            }
         }
     }
 }
 
-/// im2col rows read through a gather plan: `padded` holds each source
-/// sample followed by one dark (zero) and one reference (unit) field, so
-/// every plan entry is a plain index into its sample.
-struct GatheredRows<'a> {
-    padded: &'a [Complex64],
-    /// Padded sample width: source width + 2.
-    width: usize,
-    plan: &'a [GatherSource],
-    n: usize,
-    positions: usize,
+/// One sample's filled planes, read by the register blocks of
+/// [`ConvKernel`].
+struct ConvSweep<'a> {
+    layer: &'a CompiledLayer,
+    g: ConvGeometry,
+    /// `g.out_hw()`, worked out once per window.
+    out_hw: (usize, usize),
+    /// Doubles per plane line; a padded row is `2·stride` lines.
+    span: usize,
+    planes: &'a [f64],
 }
 
-impl RowFields for GatheredRows<'_> {
+impl ConvSweep<'_> {
+    /// Output channels `o..o + B` of output row `oy`, one lane chunk of
+    /// output columns at a time: `B` accumulators live in registers across
+    /// the whole tap sweep, and each tap's lanes are loaded once for all
+    /// `B` of them. Writes the live lanes into the channel-major sample
+    /// output `y`.
     #[inline(always)]
-    fn each(&self, r: usize, mut f: impl FnMut(usize, Complex64)) {
-        let (s, p) = (r / self.positions, r % self.positions);
-        let sample = &self.padded[s * self.width..][..self.width];
-        let dark = self.width - 2;
-        for (j, g) in self.plan[p * self.n..][..self.n].iter().enumerate() {
-            let k = match *g {
-                GatherSource::Input(i) => i as usize,
-                GatherSource::Dark => dark,
-                GatherSource::Reference => dark + 1,
-            };
-            f(j, sample[k]);
+    fn block<V: Lane<f64>, const B: usize>(&self, y: &mut [Complex64], oy: usize, o: usize) {
+        let (g, span, n) = (self.g, self.span, self.layer.n);
+        let row = 2 * g.stride * span;
+        let (oh, ow) = self.out_hw;
+        let hp = g.height + 2 * g.pad;
+        let t_re: [&[f64]; B] = std::array::from_fn(|b| &self.layer.t_re[(o + b) * n..][..n]);
+        let t_im: [&[f64]; B] = std::array::from_fn(|b| &self.layer.t_im[(o + b) * n..][..n]);
+        for ox0 in (0..ow).step_by(V::LANES) {
+            let mut acc_re = [V::splat(0.0); B];
+            let mut acc_im = [V::splat(0.0); B];
+            let mut j = 0;
+            for c in 0..g.channels {
+                for ky in 0..g.kernel {
+                    let padded = &self.planes[(c * hp + oy * g.stride + ky) * row..][..row];
+                    let (mut phase, mut at) = (0, ox0);
+                    for _ in 0..g.kernel {
+                        let line = &padded[2 * phase * span..][..2 * span];
+                        let xr = V::load(&line[at..]);
+                        let xi = V::load(&line[span + at..]);
+                        for b in 0..B {
+                            let (pr, pi) = cmul_splat_lhs(t_re[b][j], t_im[b][j], xr, xi);
+                            acc_re[b] = acc_re[b] + pr;
+                            acc_im[b] = acc_im[b] + pi;
+                        }
+                        j += 1;
+                        phase += 1;
+                        if phase == g.stride {
+                            (phase, at) = (0, at + 1);
+                        }
+                    }
+                }
+            }
+            // The bias tap: the always-on reference field `1 + 0i`.
+            let (one, zero) = (V::splat(1.0), V::splat(0.0));
+            for b in 0..B {
+                let (pr, pi) = cmul_splat_lhs(t_re[b][j], t_im[b][j], one, zero);
+                acc_re[b] = acc_re[b] + pr;
+                acc_im[b] = acc_im[b] + pi;
+            }
+            // Spill every accumulator before the scatter: a scatter that
+            // reads them by lane keeps a memory copy of each live across
+            // the tap sweep, stored on every tap.
+            let mut re = [[0.0; F64x8::LANES]; B];
+            let mut im = [[0.0; F64x8::LANES]; B];
+            for b in 0..B {
+                acc_re[b].store(&mut re[b]);
+                acc_im[b].store(&mut im[b]);
+            }
+            let live = V::LANES.min(ow - ox0);
+            for (b, (re, im)) in re.iter().zip(&im).enumerate() {
+                let dst = &mut y[((o + b) * oh + oy) * ow + ox0..][..live];
+                for ((z, &re), &im) in dst.iter_mut().zip(re).zip(im) {
+                    *z = Complex64::new(re, im);
+                }
+            }
         }
     }
 }
@@ -1189,6 +1390,91 @@ mod tests {
             out.extend(io);
         }
         out
+    }
+
+    /// The direct-conv oracle: every patch gathered by hand through
+    /// [`gather_into`] (padding taps dark, the bias tap on the reference),
+    /// the rows run through [`CompiledLayer::forward_batch_at`] at
+    /// Transfer, and scattered channel-major.
+    fn gathered_conv(
+        compiled: &CompiledLayer,
+        g: &ConvGeometry,
+        src: &[Complex64],
+    ) -> Vec<Complex64> {
+        let (oh, ow) = g.out_hw();
+        let (positions, m, n) = (oh * ow, compiled.m, compiled.n);
+        let at = |o: usize, k: usize, side: usize| {
+            let i = (o * g.stride + k).checked_sub(g.pad)?;
+            (i < side).then_some(i)
+        };
+        let mut plan = Vec::with_capacity(positions * n);
+        for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
+            for c in 0..g.channels {
+                for ky in 0..g.kernel {
+                    for kx in 0..g.kernel {
+                        plan.push(match (at(oy, ky, g.height), at(ox, kx, g.width)) {
+                            (Some(iy), Some(ix)) => {
+                                GatherSource::Input(((c * g.height + iy) * g.width + ix) as u32)
+                            }
+                            _ => GatherSource::Dark,
+                        });
+                    }
+                }
+            }
+            plan.push(GatherSource::Reference);
+        }
+        let (mut out, mut tmp) = (Vec::new(), Vec::new());
+        for sample in src.chunks_exact(g.in_features()) {
+            let mut rows = vec![Complex64::ZERO; plan.len()];
+            for (taps, row) in plan.chunks_exact(n).zip(rows.chunks_exact_mut(n)) {
+                gather_into(taps, sample, row);
+            }
+            compiled.forward_batch_at(Fidelity::Transfer, &mut rows, &mut tmp, positions);
+            out.extend((0..m * positions).map(|q| rows[q % positions * m + q / positions]));
+        }
+        out
+    }
+
+    /// [`CompiledLayer::forward_conv`]'s body run at lane width `V`,
+    /// whatever the host's widest tier is.
+    fn direct_conv<V: Lane<f64>>(
+        compiled: &CompiledLayer,
+        g: &ConvGeometry,
+        src: &[Complex64],
+    ) -> Vec<Complex64> {
+        let samples = src.len() / g.in_features();
+        let mut out = vec![Complex64::ZERO; samples * compiled.m * g.positions()];
+        ConvKernel {
+            layer: compiled,
+            geometry: *g,
+            src,
+            out: &mut out,
+            planes: &mut Vec::new(),
+        }
+        .run::<V>();
+        out
+    }
+
+    /// Asserts the direct conv at both lane widths and through the
+    /// dispatched entry point is bitwise [`gathered_conv`].
+    fn assert_direct_conv_is_gathered(m: usize, g: &ConvGeometry, samples: usize, seed: u64) {
+        let compiled = random_layer(m, g.patch_len() + 1, MeshStyle::Clements, seed);
+        let src = random_fields(samples * g.in_features(), seed ^ 0xc0);
+        let want = live_bits(&gathered_conv(&compiled, g, &src), 1, 1);
+        let mut io = Vec::new();
+        compiled.forward_conv(g, &src, &mut io);
+        let runs = [
+            ("F64x4", direct_conv::<F64x4>(&compiled, g, &src)),
+            ("F64x8", direct_conv::<F64x8>(&compiled, g, &src)),
+            ("dispatched", io),
+        ];
+        for (tier, got) in runs {
+            assert_eq!(
+                live_bits(&got, 1, 1),
+                want,
+                "{tier} m={m} {g:?} samples={samples}"
+            );
+        }
     }
 
     fn random_layer(m: usize, n: usize, style: MeshStyle, seed: u64) -> CompiledLayer {
@@ -1292,21 +1578,9 @@ mod tests {
             rows.extend([sample[2], Complex64::ZERO, Complex64::ONE]);
             rows.extend([sample[0], sample[3], Complex64::ONE]);
         }
-        for fidelity in [Fidelity::Golden, Fidelity::Transfer] {
-            let (mut io, mut tmp) = (Vec::new(), Vec::new());
-            compiled.forward_gathered(fidelity, &src, 4, &plan, &mut io, &mut tmp);
-            assert_eq!(io, row_by_row(&compiled, fidelity, &rows), "{fidelity:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "gather plan indexes past the sample width")]
-    fn transfer_gather_rejects_out_of_range_taps() {
-        let compiled = random_layer(2, 2, MeshStyle::Clements, 904);
-        let plan = [GatherSource::Input(4), GatherSource::Reference];
-        let src = random_fields(4, 905);
         let (mut io, mut tmp) = (Vec::new(), Vec::new());
-        compiled.forward_gathered(Fidelity::Transfer, &src, 4, &plan, &mut io, &mut tmp);
+        compiled.forward_gathered(&src, 4, &plan, &mut io, &mut tmp);
+        assert_eq!(io, row_by_row(&compiled, Fidelity::Golden, &rows));
     }
 
     #[test]
@@ -1386,9 +1660,9 @@ mod tests {
     fn forward_gathered_is_bitwise_across_tile_cuts_inside_a_sample() {
         // A 3×26 layer (315-row tiles) fed 106 positions per sample: the
         // first tile ends inside sample 2, and 3 samples leave a 3-row
-        // tail below the mode-major switch. At both fidelities the
-        // gathered window must be bitwise the hand-gathered rows run one
-        // at a time, and the planar scratch must stay within one tile.
+        // tail below the mode-major switch. The gathered window must be
+        // bitwise the hand-gathered rows run one at a time, and the planar
+        // scratch must stay within one tile.
         const POSITIONS: usize = 106;
         const SAMPLES: usize = 3;
         const WIDTH: usize = 40;
@@ -1420,19 +1694,51 @@ mod tests {
         }
         for style in [MeshStyle::Clements, MeshStyle::Reck] {
             let compiled = CompiledLayer::compile(&PhotonicLayer::from_matrix(&w, style));
-            for fidelity in [Fidelity::Golden, Fidelity::Transfer] {
-                let (mut io, mut tmp) = (Vec::new(), Vec::new());
-                compiled.forward_gathered(fidelity, &src, WIDTH, &plan, &mut io, &mut tmp);
-                let scratch = MODE_MAJOR_SCRATCH.with(|cell| cell.borrow().len());
-                assert!(scratch <= 2 * n * tile, "{style:?}: scratch {scratch}");
-                let want = row_by_row(&compiled, fidelity, &rows);
-                assert_eq!(
-                    live_bits(&io, m, m),
-                    live_bits(&want, m, m),
-                    "{style:?} {fidelity:?}"
-                );
+            let (mut io, mut tmp) = (Vec::new(), Vec::new());
+            compiled.forward_gathered(&src, WIDTH, &plan, &mut io, &mut tmp);
+            let scratch = MODE_MAJOR_SCRATCH.with(|cell| cell.borrow().len());
+            assert!(scratch <= 2 * n * tile, "{style:?}: scratch {scratch}");
+            let want = row_by_row(&compiled, Fidelity::Golden, &rows);
+            assert_eq!(live_bits(&io, m, m), live_bits(&want, m, m), "{style:?}");
+        }
+    }
+
+    #[test]
+    fn direct_conv_is_bitwise_gathered_on_single_position_outputs() {
+        // A 1×1 output from an unpadded kernel-sized input, from a padded
+        // 1×1 input, and from a strided input one wider than the kernel;
+        // channel counts inside one block, filling it, and past it.
+        let shapes = [(2, 5, 5, 5, 1, 0), (3, 1, 1, 3, 1, 1), (1, 4, 4, 3, 2, 0)];
+        for (channels, height, width, kernel, stride, pad) in shapes {
+            let g = ConvGeometry {
+                channels,
+                height,
+                width,
+                kernel,
+                stride,
+                pad,
+            };
+            assert_eq!(g.out_hw(), (1, 1));
+            for m in [1, CONV_BLOCK, CONV_BLOCK + 1] {
+                assert_direct_conv_is_gathered(m, &g, 2, (m * 7 + kernel) as u64);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "source window length must be a multiple of C·H·W")]
+    fn forward_conv_rejects_a_ragged_source_window() {
+        let g = ConvGeometry {
+            channels: 2,
+            height: 3,
+            width: 3,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let compiled = random_layer(2, g.patch_len() + 1, MeshStyle::Clements, 908);
+        let src = random_fields(g.in_features() + 1, 909);
+        compiled.forward_conv(&g, &src, &mut Vec::new());
     }
 
     proptest! {
@@ -1576,6 +1882,41 @@ mod tests {
             let mut scratch = Vec::new();
             compiled.forward_batch(&mut batch, &mut scratch, samples);
             prop_assert_eq!(batch, reference);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The direct conv is bitwise the gathered Transfer rows scattered
+        /// channel-major, at both lane widths and dispatched: odd and even
+        /// planes, every kernel, padding and stride the lowering serves,
+        /// and channel counts covering every register-block remainder and
+        /// more than one block.
+        #[test]
+        fn direct_conv_is_bitwise_gathered_transfer(
+            channels in 1usize..4,
+            height in 1usize..18,
+            width in 1usize..18,
+            kernel_pick in 0usize..3,
+            pad in 0usize..3,
+            stride in 1usize..3,
+            m in 1usize..10,
+            samples in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let kernel = [1usize, 3, 5][kernel_pick];
+            // Grow a plane the padded kernel would not fit.
+            let fit = |side: usize| side.max(kernel.saturating_sub(2 * pad));
+            let g = ConvGeometry {
+                channels,
+                height: fit(height),
+                width: fit(width),
+                kernel,
+                stride,
+                pad,
+            };
+            assert_direct_conv_is_gathered(m, &g, samples, seed);
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Domain scenario: regenerate every table and figure of the paper in one
 //! run (the same code paths the benchmark harness uses).
 //!
-//! Pass `--quick` to use the smoke-test scale (~1 min); the default
-//! standard scale takes several minutes on one CPU because it trains the
-//! full model grid. Pass `--jobs N` to bound the shared worker pool every
+//! Pass `--quick` to use the smoke-test scale: about 14 min of wall time
+//! with `--jobs 2` on 2 vCPUs, most of it training the CNNs of Tables II
+//! and III. The default standard scale trains the full model grid and
+//! takes longer still. Pass `--jobs N` to bound the shared worker pool every
 //! experiment grid draws from (default: available parallelism, or the
 //! `OPLIX_JOBS` environment variable).
 //!
