@@ -556,6 +556,10 @@ impl RouterCore {
         let tx = relock(lane.tx.lock()).clone().ok_or(Error::ServerClosed)?;
         let (reply, rx) = mpsc::channel();
         let fields = req.fields;
+        // Count the request in before the send: once queued, the lane may
+        // answer it, and hand both counts back, before this thread resumes.
+        lane.counters.reserve();
+        self.fair.add(lane.fair_id, lane.weight);
         // Stamp + send under the lane gate's read side, so no swap
         // barrier can land between the version stamp and the queue send.
         let sent = lane.gate.admit(|version| {
@@ -587,10 +591,11 @@ impl RouterCore {
                     .deadline
                     .is_some_and(|d| d <= Instant::now() + self.policy.max_wait);
                 lane.counters.admitted(urgent);
-                self.fair.add(lane.fair_id, lane.weight);
                 Ok(RouterTicket { rx, done: None })
             }
             Err(e) => {
+                lane.counters.unreserve();
+                self.fair.sub(lane.fair_id, lane.weight);
                 if matches!(e, Error::QueueFull { .. }) {
                     lane.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 }

@@ -814,14 +814,27 @@ impl Counters {
         }
     }
 
-    /// Records a successful admission, once the request is in the queue,
-    /// and rings the batcher if the admission is one it must wake for.
-    /// `urgent` marks a deadline that may fall inside the batcher's
-    /// coalescing window.
+    /// Counts a request into the live depth before it is sent to the
+    /// queue. The count must rise first: once queued, the batcher may
+    /// answer the request, and take it back out of the depth, before the
+    /// sender runs again.
+    pub(crate) fn reserve(&self) {
+        self.depth.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Hands back a [`Counters::reserve`] whose send failed.
+    pub(crate) fn unreserve(&self) {
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Records a successful admission, once the reserved request is in
+    /// the queue, and rings the batcher if the admission is one it must
+    /// wake for. `urgent` marks a deadline that may fall inside the
+    /// batcher's coalescing window.
     pub(crate) fn admitted(&self, urgent: bool) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.bell.admitted(depth, urgent);
+        self.bell
+            .admitted(self.depth.load(Ordering::Relaxed), urgent);
     }
 
     /// Publishes the serving engine's per-stage stats (chip reports plus
@@ -869,7 +882,8 @@ pub struct ServerStats {
     pub batched_samples: u64,
     /// Requests admitted but not yet answered at snapshot time — the
     /// live queue depth (queued plus in-flight), the quantity the router
-    /// tier weighs fair shares by.
+    /// tier weighs fair shares by. A request counts from the moment its
+    /// send starts, so a sender blocked on a full queue is included.
     pub queue_depth: u64,
     /// The deployment version new admissions are stamped with (1 at
     /// launch; each applied swap or promote increments it).
@@ -1474,6 +1488,7 @@ impl Client {
         }
         let (reply, rx) = mpsc::channel();
         let enqueued_at = Instant::now();
+        self.counters.reserve();
         // Stamp + send under the version gate's read side, so no swap
         // barrier can land between the stamp and the queue send.
         let sent = self.gate.admit(|version| {
@@ -1505,6 +1520,7 @@ impl Client {
                 })
             }
             Err(e) => {
+                self.counters.unreserve();
                 if matches!(e, Error::QueueFull { .. }) {
                     self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 }
@@ -2059,6 +2075,20 @@ mod tests {
             Tensor::random_uniform(&[n, 6], 1.0, &mut rng),
             Tensor::random_uniform(&[n, 6], 1.0, &mut rng),
         )
+    }
+
+    #[test]
+    fn a_reply_before_its_admission_is_recorded_never_wraps_the_depth() {
+        // Once a request is queued, the batcher may answer it before the
+        // sender records the admission. The depth reserved before the send
+        // keeps that reply from taking the live depth below zero (which
+        // wrapped it, and overflowed the admission's increment).
+        let counters = Counters::new(4);
+        counters.reserve();
+        counters.depth.fetch_sub(1, Ordering::Relaxed); // the reply, first
+        counters.admitted(false);
+        let stats = counters.snapshot(1);
+        assert_eq!((stats.submitted, stats.queue_depth), (1, 0));
     }
 
     #[test]
