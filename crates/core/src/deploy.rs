@@ -288,9 +288,9 @@ impl DeployedStage {
                 st.compiled
                     .forward_gathered(&cur[..samples * width], width, &st.plan, nxt, aux);
                 // Mesh rows come back position-major `[P][O]`; the
-                // software conv layout is channel-major `[O, H'·W']`.
+                // software conv layout is channel-major `[O, H'·W']`. The
+                // transpose writes every field, so stale ones need no zeroing.
                 let (positions, out_features) = (st.geometry.positions(), st.out_features());
-                cur.clear();
                 cur.resize(samples * out_features, Complex64::ZERO);
                 for s in 0..samples {
                     let rows = &nxt[s * positions * st.out_ch..][..positions * st.out_ch];
@@ -1984,6 +1984,42 @@ mod tests {
                     optical[k]
                 );
             }
+        }
+    }
+
+    /// A narrow window through the buffers a wider one left stale is
+    /// bitwise a window through fresh buffers, on a conv body at both
+    /// fidelity tiers.
+    #[test]
+    fn conv_window_through_stale_buffers_is_bitwise_fresh() {
+        let net = tiny_cnn(95_011);
+        let mut deployed = DeployedFcnn::from_network_shaped(
+            &net,
+            Some((1, 4, 4)),
+            DeployedDetection::Differential,
+            MeshStyle::Clements,
+        )
+        .expect("conv bodies lower through im2col");
+        let mut rng = StdRng::seed_from_u64(95_012);
+        let view = CTensor::new(
+            Tensor::random_uniform(&[9, 1, 4, 4], 1.0, &mut rng),
+            Tensor::random_uniform(&[9, 1, 4, 4], 1.0, &mut rng),
+        );
+        for fidelity in [Fidelity::Golden, Fidelity::Transfer] {
+            deployed.set_fidelity(fidelity);
+            let (mut buf, mut logits) = (WindowBuffers::default(), Vec::new());
+            deployed
+                .forward_window_into(&view, 0, 9, &mut buf, &mut logits)
+                .expect("wide window");
+            deployed
+                .forward_window_into(&view, 3, 6, &mut buf, &mut logits)
+                .expect("narrow window");
+            let mut fresh = Vec::new();
+            deployed
+                .forward_window_into(&view, 3, 6, &mut WindowBuffers::default(), &mut fresh)
+                .expect("fresh window");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&logits), bits(&fresh), "{fidelity:?}");
         }
     }
 

@@ -130,11 +130,21 @@ impl OplixNetBuilder {
     /// The four configured stages as a generic [`Pipeline`], for callers
     /// that want to swap a stage before running.
     pub fn stages(&self) -> Pipeline {
-        let mut assign = AssignStage::flat(self.assignment);
-        if self.mutual_learning {
-            assign = assign.with_teacher_view();
-        }
+        let deploy = DeployStage::new(ModelVariant::Split(self.decoder).detection())
+            .mesh_style(self.mesh_style);
+        Pipeline::standard(self.assign_stage(), self.train_stage(), deploy)
+    }
 
+    fn assign_stage(&self) -> AssignStage {
+        let assign = AssignStage::flat(self.assignment);
+        if self.mutual_learning {
+            assign.with_teacher_view()
+        } else {
+            assign
+        }
+    }
+
+    fn train_stage(&self) -> TrainStage {
         let variant = ModelVariant::Split(self.decoder);
         let hidden = self.hidden;
         let student = Box::new(move |data: &AssignedData, rng: &mut StdRng| {
@@ -167,9 +177,7 @@ impl OplixNetBuilder {
                 temperature: 1.0,
             });
         }
-
-        let deploy = DeployStage::new(variant.detection()).mesh_style(self.mesh_style);
-        Pipeline::standard(assign, train, deploy)
+        train
     }
 }
 
@@ -265,6 +273,7 @@ impl OplixNetPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::Stage;
     use oplix_datasets::synth::{digits, SynthConfig};
 
     fn quick_data() -> (RealDataset, RealDataset) {
@@ -351,6 +360,53 @@ mod tests {
             .run()
             .expect_err("odd height must be a typed error");
         assert!(matches!(err, Error::Assign(_)), "{err:?}");
+    }
+
+    /// FNV-1a over the bits of every parameter value, in visit order.
+    fn weight_hash(net: &mut oplix_nn::network::Network) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        net.visit_params(&mut |p: &mut oplix_nn::param::Param| {
+            for v in p.value.as_slice() {
+                for byte in v.to_bits().to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        });
+        hash
+    }
+
+    /// A default-builder mutual-learning run trains both networks to
+    /// weight bits recorded before the GEMM kernel was register-blocked;
+    /// every dense forward and backward product of both networks feeds
+    /// these bits.
+    #[test]
+    fn mutual_learning_weights_are_pinned_bitwise() {
+        let cfg = SynthConfig {
+            height: 8,
+            width: 8,
+            samples: 96,
+            ..Default::default()
+        };
+        let pair = DatasetPair::new(
+            digits(&cfg),
+            digits(&SynthConfig {
+                samples: 48,
+                seed: 1,
+                ..cfg
+            }),
+        );
+        let builder = OplixNetBuilder::new().train_setup(TrainSetup {
+            epochs: 2,
+            ..OplixNetBuilder::default().setup
+        });
+        let data = builder.assign_stage().run(pair).expect("assign");
+        let (mut student, teacher, _) = builder.train_stage().fit(&data).expect("train");
+        let mut teacher = teacher.expect("mutual learning is on by default");
+        assert_eq!(
+            (weight_hash(&mut student), weight_hash(&mut teacher)),
+            (0x4a16_aa70_e27b_88a3, 0x8d94_4e13_44f9_2645),
+            "trained student and teacher weight bits"
+        );
     }
 
     #[test]

@@ -381,23 +381,19 @@ impl TrainStage {
         opt.clip = Some(1.0);
         opt
     }
-}
 
-impl Stage for TrainStage {
-    type Input = AssignedData;
-    type Output = TrainedModel;
-
-    fn name(&self) -> &'static str {
-        "train"
-    }
-
-    fn run(&self, data: AssignedData) -> Result<TrainedModel, Error> {
+    /// Trains the student (and, under mutual learning, the teacher) on
+    /// `data`; returns both networks and the student's test accuracy.
+    pub(crate) fn fit(
+        &self,
+        data: &AssignedData,
+    ) -> Result<(Network, Option<Network>, f64), Error> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut student = self.student.build(&data, &mut rng)?;
+        let mut student = self.student.build(data, &mut rng)?;
 
         // The trainer's return value *is* the reported accuracy — no
         // recompute pass.
-        let accuracy = match &self.mutual {
+        let (teacher, accuracy) = match &self.mutual {
             Some(ml) => {
                 let teacher_train = data.teacher_train.as_ref().ok_or(Error::Stage {
                     stage: "train",
@@ -405,7 +401,7 @@ impl Stage for TrainStage {
                               (AssignStage::with_teacher_view)"
                         .to_string(),
                 })?;
-                let mut teacher = ml.teacher.build(&data, &mut rng)?;
+                let mut teacher = ml.teacher.build(data, &mut rng)?;
                 let cfg = MutualConfig {
                     alpha: ml.alpha,
                     temperature: ml.temperature,
@@ -413,7 +409,7 @@ impl Stage for TrainStage {
                 };
                 let mut opt_s = self.clipped_sgd();
                 let mut opt_t = self.clipped_sgd();
-                mutual_fit(
+                let accuracy = mutual_fit(
                     &mut student,
                     &mut teacher,
                     &data.train,
@@ -424,12 +420,13 @@ impl Stage for TrainStage {
                     &mut opt_s,
                     &mut opt_t,
                     &mut rng,
-                )
+                );
+                (Some(teacher), accuracy)
             }
             None => {
                 let mut opt = self.clipped_sgd();
                 let verbose = self.verbose;
-                fit_with(
+                let accuracy = fit_with(
                     &mut student,
                     &data.train,
                     &data.test,
@@ -448,12 +445,26 @@ impl Stage for TrainStage {
                             );
                         }
                     },
-                )
+                );
+                (None, accuracy)
             }
         };
+        Ok((student, teacher, accuracy))
+    }
+}
 
+impl Stage for TrainStage {
+    type Input = AssignedData;
+    type Output = TrainedModel;
+
+    fn name(&self) -> &'static str {
+        "train"
+    }
+
+    fn run(&self, data: AssignedData) -> Result<TrainedModel, Error> {
+        let (network, _teacher, accuracy) = self.fit(&data)?;
         Ok(TrainedModel {
-            network: student,
+            network,
             accuracy,
             data,
         })

@@ -21,12 +21,15 @@
 //!   ([`cmul_splat_lhs`] / [`cmul_splat_rhs`]), so a planar butterfly is
 //!   bitwise the scalar `t00 * x + t01 * y`.
 //!
-//! On `x86_64` the hot kernels additionally dispatch to an AVX2-compiled
-//! clone of the *same* portable code behind [`avx2_available`] (a cached
-//! `is_x86_feature_detected!` probe). That stays bitwise because the
-//! clone is the identical Rust source monomorphised with wider registers:
-//! AVX2 `vmulpd`/`vaddpd` are the same correctly-rounded IEEE operations
-//! as their scalar twins, and no `-ffast-math`-style flags are in play.
+//! Every hot kernel runs through the one [`dispatch`]: a [`LaneKernel`]
+//! body is written once, generic over an `f64` and an `f32` lane type,
+//! and [`dispatch`] monomorphises it inside a `#[target_feature]` clone
+//! for the widest tier the CPU has ([`F64x8`]/[`F32x16`] at AVX-512F,
+//! [`F64x4`]/[`F32x8`] at AVX2 and in the portable build). That stays
+//! bitwise because every tier is the identical Rust source compiled with
+//! wider registers: `vmulps`/`vaddpd` are the same correctly-rounded IEEE
+//! operations as their scalar twins, and no `-ffast-math`-style flags are
+//! in play.
 
 use std::ops::{Add, Mul, Sub};
 
@@ -269,10 +272,10 @@ pub fn cmul_splat_rhs<V: Lane<f64>>(xr: V, xi: V, c_re: f64, c_im: f64) -> (V, V
 
 /// Whether the running CPU supports AVX2 (cached after the first probe).
 ///
-/// The hot kernels use this to dispatch into an
-/// `#[target_feature(enable = "avx2")]` clone of the identical portable
-/// lane code — same Rust operations, wider registers, bitwise-identical
-/// results. Always `false` off `x86_64`.
+/// [`dispatch`] uses this to pick the `#[target_feature(enable =
+/// "avx2")]` clone of the identical portable lane code — same Rust
+/// operations, wider registers, bitwise-identical results. Always
+/// `false` off `x86_64`.
 #[inline]
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -287,8 +290,8 @@ pub fn avx2_available() -> bool {
 }
 
 /// Whether the running CPU supports AVX-512F (cached after the first
-/// probe) — the widest dispatch tier, running the identical portable lane
-/// code at [`F64x8`]/[`F32x16`] width. Always `false` off `x86_64`.
+/// probe) — the widest [`dispatch`] tier, running the identical portable
+/// lane code at [`F64x8`]/[`F32x16`] width. Always `false` off `x86_64`.
 #[inline]
 pub fn avx512f_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -300,6 +303,88 @@ pub fn avx512f_available() -> bool {
     {
         false
     }
+}
+
+/// A kernel body written once over generic lane widths; [`dispatch`] runs
+/// it at the widest tier the CPU has.
+///
+/// A body that computes in `f64` uses `D`, one that computes in `f32`
+/// uses `S`; both have the register width of the tier.
+///
+/// **Codegen pitfall.** The body only gets the tier's instructions where
+/// it inlines into the `#[target_feature]` clone: implementations are
+/// `#[inline(always)]` all the way down, and must not run their work
+/// inside a closure they pass to another function (a thread-local's
+/// `.with(|…| …)`, say), because a closure body is a function of its own
+/// that does not inherit the target feature. Take scratch out of such
+/// a closure first, then run the kernel.
+pub trait LaneKernel {
+    /// The body at `f64` lane type `D` and `f32` lane type `S`.
+    fn run<D: Lane<f64>, S: Lane<f32>>(self);
+}
+
+/// Runs `kernel` at the widest lane tier the CPU supports: AVX-512F at
+/// [`F64x8`]/[`F32x16`], AVX2 at [`F64x4`]/[`F32x8`], else portable
+/// [`F64x4`]/[`F32x8`]. Every tier runs the identical portable body (same
+/// operations, same order, no FMA), so the tier never changes a result
+/// bit.
+///
+/// # Example
+///
+/// ```
+/// use oplix_linalg::lanes::{dispatch, Lane, LaneKernel};
+///
+/// /// `out[i] = 2·x[i]` over one lane chunk of `f32`s.
+/// struct Double<'a>(&'a [f32], &'a mut Vec<f32>);
+///
+/// impl LaneKernel for Double<'_> {
+///     #[inline(always)]
+///     fn run<D: Lane<f64>, S: Lane<f32>>(self) {
+///         self.1.resize(S::LANES, 0.0);
+///         (S::splat(2.0) * S::load(self.0)).store(self.1);
+///     }
+/// }
+///
+/// let x: Vec<f32> = (0..16).map(|i| i as f32).collect();
+/// let mut out = Vec::new();
+/// dispatch(Double(&x, &mut out));
+/// assert!(out.iter().enumerate().all(|(i, &v)| v == 2.0 * i as f32));
+/// ```
+pub fn dispatch(kernel: impl LaneKernel) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512f_available() {
+            // SAFETY: AVX-512F was just verified at runtime.
+            unsafe { run_avx512(kernel) };
+            return;
+        }
+        if avx2_available() {
+            // SAFETY: AVX2 was just verified at runtime.
+            unsafe { run_avx2(kernel) };
+            return;
+        }
+    }
+    kernel.run::<F64x4, F32x8>();
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512F; the only caller, [`dispatch`], checks
+/// [`avx512f_available`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_avx512(kernel: impl LaneKernel) {
+    kernel.run::<F64x8, F32x16>();
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2; the only caller, [`dispatch`], checks
+/// [`avx2_available`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2(kernel: impl LaneKernel) {
+    kernel.run::<F64x4, F32x8>();
 }
 
 #[cfg(test)]

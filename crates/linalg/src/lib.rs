@@ -14,12 +14,12 @@
 //! * [`qr`] — Householder QR factorisation and unitary basis completion.
 //! * [`svd`] — one-sided Jacobi SVD for complex (and hence real) matrices.
 //! * [`fft`] — radix-2 FFT used by the OFFT baseline.
-//! * [`gemm`] — the shared cache-blocked GEMM kernel every dense product
-//!   in the workspace (real, complex, and the `f32` training tensors)
-//!   runs through, with transpose-free `NT`/`TN` layouts.
+//! * [`gemm`] — the shared register-blocked GEMM kernel every dense
+//!   product in the workspace (real, complex, and the `f32` training
+//!   tensors) runs through, with transpose-free `NT`/`TN` layouts.
 //! * [`lanes`] — the portable array-of-lanes SIMD primitives (no-FMA,
-//!   bitwise-by-construction) the GEMM micro-kernel and the compiled mesh
-//!   sweep are written against.
+//!   bitwise-by-construction) and the one lane-tier dispatch the GEMM
+//!   driver and the compiled mesh kernels are written against.
 //!
 //! # Example
 //!

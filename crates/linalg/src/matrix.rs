@@ -97,7 +97,7 @@ impl Matrix {
     }
 
     /// Matrix product `self · rhs`, through the workspace's shared
-    /// cache-blocked kernel ([`crate::gemm::gemm`]).
+    /// register-blocked kernel ([`crate::gemm::gemm`]).
     ///
     /// # Panics
     ///
@@ -322,7 +322,7 @@ impl CMatrix {
     }
 
     /// Matrix product `self · rhs`, through the workspace's shared
-    /// cache-blocked kernel ([`crate::gemm::gemm`]).
+    /// register-blocked kernel ([`crate::gemm::gemm`]).
     ///
     /// # Panics
     ///

@@ -164,9 +164,12 @@ impl CLayer for CConv2d {
         let mut y_re = conv2d_forward(&x.re, &self.w_re.value, self.stride, self.pad);
         let mut y_im = conv2d_forward(&x.re, &self.w_im.value, self.stride, self.pad);
         if !self.real_only || x.im.max_abs() != 0.0 {
-            y_re.add_assign(
-                &conv2d_forward(&x.im, &self.w_im.value, self.stride, self.pad).scale(-1.0),
-            );
+            y_re.sub_assign(&conv2d_forward(
+                &x.im,
+                &self.w_im.value,
+                self.stride,
+                self.pad,
+            ));
             y_im.add_assign(&conv2d_forward(
                 &x.im,
                 &self.w_re.value,
@@ -201,9 +204,13 @@ impl CLayer for CConv2d {
             self.pad,
         ));
         if !self.real_only {
-            self.w_im.grad.add_assign(
-                &conv2d_backward_weight(&dy.re, &x.im, &w_shape, self.stride, self.pad).scale(-1.0),
-            );
+            self.w_im.grad.sub_assign(&conv2d_backward_weight(
+                &dy.re,
+                &x.im,
+                &w_shape,
+                self.stride,
+                self.pad,
+            ));
             self.w_im.grad.add_assign(&conv2d_backward_weight(
                 &dy.im,
                 &x.re,
@@ -242,10 +249,13 @@ impl CLayer for CConv2d {
         ));
         let mut dx_im =
             conv2d_backward_input(&dy.im, &self.w_re.value, &x_shape, self.stride, self.pad);
-        dx_im.add_assign(
-            &conv2d_backward_input(&dy.re, &self.w_im.value, &x_shape, self.stride, self.pad)
-                .scale(-1.0),
-        );
+        dx_im.sub_assign(&conv2d_backward_input(
+            &dy.re,
+            &self.w_im.value,
+            &x_shape,
+            self.stride,
+            self.pad,
+        ));
         CTensor::new(dx_re, dx_im)
     }
 

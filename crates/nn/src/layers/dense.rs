@@ -118,7 +118,7 @@ impl CLayer for CDense {
         }
         let mut y_re = dense_forward(&x.re, &self.w_re.value);
         let mut y_im = dense_forward(&x.re, &self.w_im.value);
-        y_re.add_assign(&dense_forward(&x.im, &self.w_im.value).scale(-1.0));
+        y_re.sub_assign(&dense_forward(&x.im, &self.w_im.value));
         y_im.add_assign(&dense_forward(&x.im, &self.w_re.value));
         self.add_bias(&mut y_re, &self.b_re.value);
         self.add_bias(&mut y_im, &self.b_im.value);
@@ -141,18 +141,20 @@ impl CLayer for CDense {
         if !self.real_only {
             self.w_im
                 .grad
-                .add_assign(&dense_backward_weight(&dy.re, &x.im).scale(-1.0));
+                .sub_assign(&dense_backward_weight(&dy.re, &x.im));
             self.w_im
                 .grad
                 .add_assign(&dense_backward_weight(&dy.im, &x.re));
         }
 
-        // Bias gradients: column sums over the batch.
-        let (batch, k) = (dy.re.shape()[0], dy.re.shape()[1]);
-        for i in 0..batch {
-            for j in 0..k {
-                self.b_re.grad.as_mut_slice()[j] += dy.re.at2(i, j);
-                self.b_im.grad.as_mut_slice()[j] += dy.im.at2(i, j);
+        // Bias gradients: column sums over the batch, row by row.
+        let k = dy.re.shape()[1];
+        for (grad, dy) in [(&mut self.b_re.grad, &dy.re), (&mut self.b_im.grad, &dy.im)] {
+            let grad = grad.as_mut_slice();
+            for row in dy.as_slice().chunks_exact(k) {
+                for (g, &d) in grad.iter_mut().zip(row) {
+                    *g += d;
+                }
             }
         }
 
@@ -160,7 +162,7 @@ impl CLayer for CDense {
         let mut dx_re = dense_backward_input(&dy.re, &self.w_re.value);
         dx_re.add_assign(&dense_backward_input(&dy.im, &self.w_im.value));
         let mut dx_im = dense_backward_input(&dy.im, &self.w_re.value);
-        dx_im.add_assign(&dense_backward_input(&dy.re, &self.w_im.value).scale(-1.0));
+        dx_im.sub_assign(&dense_backward_input(&dy.re, &self.w_im.value));
         CTensor::new(dx_re, dx_im)
     }
 

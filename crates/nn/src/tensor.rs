@@ -195,17 +195,30 @@ impl Tensor {
         out
     }
 
+    /// Element-wise in-place subtraction. Bitwise `add_assign` of the
+    /// negated `rhs` (IEEE defines `a − b` as `a + (−b)`), without the
+    /// negated temporary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn sub_assign(&mut self, rhs: &Tensor) {
+        assert_eq!(self.shape, rhs.shape, "sub_assign shape mismatch");
+        // As in `add_assign`: hold rhs's handle across the detach.
+        let rhs_data = Arc::clone(&rhs.data);
+        for (a, &b) in self.data_mut().iter_mut().zip(rhs_data.iter()) {
+            *a -= b;
+        }
+    }
+
     /// Element-wise difference, returning a new tensor.
     ///
     /// # Panics
     ///
     /// Panics if shapes differ.
     pub fn sub(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape, rhs.shape, "sub shape mismatch");
         let mut out = self.clone();
-        for (a, &b) in out.data_mut().iter_mut().zip(rhs.data.iter()) {
-            *a -= b;
-        }
+        out.sub_assign(rhs);
         out
     }
 
@@ -261,7 +274,7 @@ impl Tensor {
     }
 
     /// 2-D matrix product: `self` is `[m, k]`, `rhs` is `[k, n]`, through
-    /// the workspace's shared cache-blocked kernel
+    /// the workspace's shared register-blocked kernel
     /// ([`oplix_linalg::gemm::gemm`]).
     ///
     /// # Panics

@@ -64,7 +64,7 @@
 use crate::devices::Mzi;
 use crate::mesh::MziMesh;
 use crate::svd_map::PhotonicLayer;
-use oplix_linalg::lanes::{cmul_splat_lhs, cmul_splat_rhs, F64x4, F64x8, Lane};
+use oplix_linalg::lanes::{cmul_splat_lhs, cmul_splat_rhs, dispatch, F64x8, Lane, LaneKernel};
 use oplix_linalg::Complex64;
 
 std::thread_local! {
@@ -132,52 +132,6 @@ pub enum Fidelity {
     Transfer,
 }
 
-/// A planar kernel body written once over a generic lane width; [`dispatch`]
-/// runs it at the widest tier the CPU has.
-trait LaneKernel {
-    /// The body at lane width `V`. Implementations are `#[inline(always)]`,
-    /// so the body compiles inside the `#[target_feature]` clone that calls
-    /// it.
-    fn run<V: Lane<f64>>(self);
-}
-
-/// Runs `kernel` at the widest lane tier the CPU supports: AVX-512F at
-/// [`F64x8`], AVX2 at [`F64x4`], else portable [`F64x4`]. Every tier runs
-/// the identical portable body (same operations, same order, no FMA; see
-/// [`oplix_linalg::lanes`]), so the tier never changes a result bit.
-fn dispatch(kernel: impl LaneKernel) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if oplix_linalg::lanes::avx512f_available() {
-            // SAFETY: AVX-512F was just verified at runtime.
-            unsafe { run_avx512(kernel) };
-            return;
-        }
-        if oplix_linalg::lanes::avx2_available() {
-            // SAFETY: AVX2 was just verified at runtime.
-            unsafe { run_avx2(kernel) };
-            return;
-        }
-    }
-    kernel.run::<F64x4>();
-}
-
-// SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the only
-// caller, `dispatch`, gates on `avx512f_available()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn run_avx512(kernel: impl LaneKernel) {
-    kernel.run::<F64x8>();
-}
-
-// SAFETY: `#[target_feature]` makes this fn unsafe to *call*; the only
-// caller, `dispatch`, gates on `avx2_available()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn run_avx2(kernel: impl LaneKernel) {
-    kernel.run::<F64x4>();
-}
-
 /// [`CompiledMesh::mode_major_batch`] over one planar window.
 struct ModeMajor<'a> {
     mesh: &'a CompiledMesh,
@@ -188,7 +142,7 @@ struct ModeMajor<'a> {
 
 impl LaneKernel for ModeMajor<'_> {
     #[inline(always)]
-    fn run<V: Lane<f64>>(self) {
+    fn run<V: Lane<f64>, S: Lane<f32>>(self) {
         self.mesh
             .mode_major_batch::<V>(self.fields, self.scratch, self.samples);
     }
@@ -991,11 +945,14 @@ impl CompiledLayer {
             samples * self.n,
             "batch length must be samples * layer fan-in"
         );
-        tmp.clear();
-        tmp.resize(samples * self.m, Complex64::ZERO);
         if fidelity == Fidelity::Transfer {
+            // The sweep writes every output, so stale fields need no zeroing.
+            tmp.resize(samples * self.m, Complex64::ZERO);
             self.transfer(io, tmp, samples);
         } else {
+            // Σ writes only the first `min(m, n)` modes of each row.
+            tmp.clear();
+            tmp.resize(samples * self.m, Complex64::ZERO);
             let tile = tile_rows(self.n.max(self.m));
             for r0 in (0..samples).step_by(tile) {
                 let r1 = samples.min(r0 + tile);
@@ -1139,7 +1096,7 @@ struct TransferKernel<'a> {
 
 impl LaneKernel for TransferKernel<'_> {
     #[inline(always)]
-    fn run<V: Lane<f64>>(self) {
+    fn run<V: Lane<f64>, S: Lane<f32>>(self) {
         self.layer
             .transfer_rows::<V>(self.src, self.output, self.rows, self.planar);
     }
@@ -1160,7 +1117,7 @@ impl LaneKernel for ConvKernel<'_> {
     /// Copies each sample into the planes, then sweeps every output row,
     /// a register block of output channels at a time.
     #[inline(always)]
-    fn run<V: Lane<f64>>(self) {
+    fn run<V: Lane<f64>, S: Lane<f32>>(self) {
         let ConvKernel {
             layer,
             geometry: g,
@@ -1314,6 +1271,7 @@ mod tests {
     use crate::clements::decompose_clements;
     use crate::reck::decompose_reck;
     use crate::svd_map::MeshStyle;
+    use oplix_linalg::lanes::{F32x8, F64x4};
     use oplix_linalg::CMatrix;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1451,7 +1409,7 @@ mod tests {
             out: &mut out,
             planes: &mut Vec::new(),
         }
-        .run::<V>();
+        .run::<V, F32x8>();
         out
     }
 
@@ -1645,6 +1603,30 @@ mod tests {
             + 6 * std::mem::size_of::<f64>()
             + std::mem::size_of::<CompiledLayer>();
         assert_eq!(compiled.approx_bytes(), without_t + 16 * 6 * 76);
+    }
+
+    /// A narrow window run through buffers a wider window left stale is
+    /// bitwise a run through fresh buffers at both tiers, with more
+    /// outputs than inputs (Σ leaves the modes past `n` zero) and fewer.
+    #[test]
+    fn narrow_window_through_stale_buffers_is_bitwise_fresh() {
+        for (m, n) in [(7, 3), (3, 7)] {
+            let compiled = random_layer(m, n, MeshStyle::Clements, 41);
+            let narrow = random_fields(5 * n, 43);
+            for fidelity in [Fidelity::Golden, Fidelity::Transfer] {
+                let (mut io, mut tmp) = (random_fields(20 * n, 42), Vec::new());
+                compiled.forward_batch_at(fidelity, &mut io, &mut tmp, 20);
+                io.clone_from(&narrow);
+                compiled.forward_batch_at(fidelity, &mut io, &mut tmp, 5);
+                let mut fresh = narrow.clone();
+                compiled.forward_batch_at(fidelity, &mut fresh, &mut Vec::new(), 5);
+                assert_eq!(
+                    live_bits(&io, m, m),
+                    live_bits(&fresh, m, m),
+                    "{m}x{n} {fidelity:?}"
+                );
+            }
+        }
     }
 
     #[test]
