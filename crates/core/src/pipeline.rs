@@ -409,6 +409,68 @@ mod tests {
         );
     }
 
+    /// A split LeNet trained beside a conventional-ONN LeNet teacher
+    /// reaches weight bits recorded before the conv layers learned to skip
+    /// products: the teacher's first conv sees an all-zero imaginary input,
+    /// and neither first conv's input gradient is read.
+    #[test]
+    fn cnn_mutual_learning_weights_are_pinned_bitwise() {
+        use crate::zoo::{build_lenet, LenetConfig};
+        use oplix_datasets::synth::colors;
+
+        let cfg = SynthConfig {
+            height: 8,
+            width: 8,
+            samples: 64,
+            seed: 31,
+            ..Default::default()
+        };
+        let pair = DatasetPair::new(
+            colors(&cfg),
+            colors(&SynthConfig {
+                samples: 16,
+                seed: 32,
+                ..cfg
+            }),
+        );
+        let data = AssignStage::image(AssignmentKind::ChannelLossless)
+            .with_teacher_view()
+            .run(pair)
+            .expect("assign");
+        let lenet = LenetConfig::training_scale(3, 8, data.classes);
+        let student = Box::new(move |_: &AssignedData, rng: &mut StdRng| {
+            Ok(build_lenet(
+                &lenet.halved(),
+                ModelVariant::Split(DecoderKind::Merge),
+                rng,
+            ))
+        });
+        let teacher = Box::new(move |_: &AssignedData, rng: &mut StdRng| {
+            Ok(build_lenet(&lenet, ModelVariant::ConventionalOnn, rng))
+        });
+        let setup = TrainSetup {
+            epochs: 2,
+            batch: 16,
+            lr: 0.02,
+            momentum: 0.9,
+            weight_decay: 1e-4,
+        };
+        let (mut student, teacher, _) = TrainStage::new(student, setup, 5)
+            .with_mutual(MutualLearning {
+                teacher,
+                alpha: 1.0,
+                temperature: 1.0,
+            })
+            .fit(&data)
+            .expect("train");
+        let mut teacher = teacher.expect("mutual learning is on");
+        assert_eq!(
+            (weight_hash(&mut student), weight_hash(&mut teacher)),
+            (0x2f51_451e_837e_6bea, 0xf7c6_10de_b9be_f55b),
+            "trained student and teacher weight bits"
+        );
+    }
+
     #[test]
     fn default_and_new_agree() {
         let a = format!("{:?}", OplixNetBuilder::new());

@@ -318,9 +318,13 @@ fn drive<T: Kernel, V: Accum<T>>(job: Job<'_, T>, panel: &mut Vec<T::Elem>) {
 
     // Column blocks of up to NV chunks: the block at chunk `c` with `nv`
     // chunks occupies `panel[c·k·span..(c + nv)·k·span]`, step `t`'s `nv`
-    // chunk spans together, columns past `n` packed as zeros.
-    if panel.len() < chunks * k * span {
-        panel.resize(chunks * k * span, T::Elem::default());
+    // chunk spans together, columns past `n` packed as zeros. Grown to
+    // exactly this call's size, so a thread keeps at most its largest
+    // panel, not the doubled capacity `resize` alone would leave.
+    let need = chunks * k * span;
+    if panel.len() < need {
+        panel.reserve_exact(need - panel.len());
+        panel.resize(need, T::Elem::default());
     }
     let mut c = 0;
     while c < chunks {
@@ -834,6 +838,35 @@ mod tests {
             let bc: Vec<Complex64> = b.iter().zip(&bi).map(|(&r, &i)| Complex64::new(r, i)).collect();
             assert_tiers_are_naive(layout, (m, k, n), &ac, &bc, c64_bits);
         }
+    }
+
+    /// The panel grows to exactly the largest `k × n_pad` a thread packed:
+    /// a second call 1.5× the first's size would leave twice the first
+    /// under amortised doubling.
+    #[test]
+    fn panel_keeps_at_most_the_largest_pack() {
+        let mut panel = Vec::new();
+        for (k, n) in [(4, 16), (6, 16), (2, 8)] {
+            let (a, b) = (vec![1.0f32; k], vec![1.0f32; k * n]);
+            let mut out = vec![0.0f32; n];
+            let job = Job {
+                m: 1,
+                k,
+                n,
+                a: &a,
+                a_t: false,
+                b: &b,
+                b_t: true,
+                out: &mut out,
+            };
+            GemmKernel {
+                job,
+                panel: &mut panel,
+            }
+            .run::<F64x4, F32x8>();
+            assert_eq!(out, vec![k as f32; n]);
+        }
+        assert_eq!(panel.capacity(), 6 * 16);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! 2-D complex convolution layer.
 
-use super::CLayer;
+use super::{all_zero, im_product_is_zero, CLayer};
 use crate::ctensor::CTensor;
 use crate::functional::{
     conv2d_backward_input, conv2d_backward_weight, conv2d_forward, conv_out_size,
@@ -28,7 +28,8 @@ pub struct CConv2d {
     b_re: Param,
     b_im: Param,
     real_only: bool,
-    cache: Option<CTensor>,
+    /// The training input, and whether its imaginary half is all zero.
+    cache: Option<(CTensor, bool)>,
 }
 
 impl CConv2d {
@@ -140,84 +141,27 @@ impl CConv2d {
         )
     }
 
-    fn add_bias(&self, y: &mut Tensor, b: &Tensor) {
-        let (n, o, h, w) = (y.shape()[0], y.shape()[1], y.shape()[2], y.shape()[3]);
-        for bi in 0..n {
-            for oc in 0..o {
-                let bv = b.as_slice()[oc];
-                let base = ((bi * o + oc) * h) * w;
-                for v in &mut y.as_mut_slice()[base..base + h * w] {
-                    *v += bv;
-                }
-            }
-        }
-    }
-}
-
-impl CLayer for CConv2d {
-    fn forward(&mut self, x: &CTensor, train: bool) -> CTensor {
-        assert_eq!(x.shape().len(), 4, "CConv2d expects [N, C, H, W]");
-        assert_eq!(x.shape()[1], self.in_ch, "CConv2d channel mismatch");
-        if train {
-            self.cache = Some(x.clone());
-        }
-        let mut y_re = conv2d_forward(&x.re, &self.w_re.value, self.stride, self.pad);
-        let mut y_im = conv2d_forward(&x.re, &self.w_im.value, self.stride, self.pad);
-        if !self.real_only || x.im.max_abs() != 0.0 {
-            y_re.sub_assign(&conv2d_forward(
-                &x.im,
-                &self.w_im.value,
-                self.stride,
-                self.pad,
-            ));
-            y_im.add_assign(&conv2d_forward(
-                &x.im,
-                &self.w_re.value,
-                self.stride,
-                self.pad,
-            ));
-        }
-        self.add_bias(&mut y_re, &self.b_re.value);
-        self.add_bias(&mut y_im, &self.b_im.value);
-        CTensor::new(y_re, y_im)
-    }
-
-    fn backward(&mut self, dy: &CTensor) -> CTensor {
-        let x = self
+    /// Accumulates the parameter gradients of the cached forward call and
+    /// returns its input.
+    fn param_grads(&mut self, dy: &CTensor) -> CTensor {
+        let (x, im_zero) = self
             .cache
             .take()
             .expect("backward called before forward(train=true)");
         let w_shape = self.w_re.value.shape().to_vec();
+        let weight_grad = |dy: &Tensor, x: &Tensor| {
+            conv2d_backward_weight(dy, x, &w_shape, self.stride, self.pad)
+        };
 
-        self.w_re.grad.add_assign(&conv2d_backward_weight(
-            &dy.re,
-            &x.re,
-            &w_shape,
-            self.stride,
-            self.pad,
-        ));
-        self.w_re.grad.add_assign(&conv2d_backward_weight(
-            &dy.im,
-            &x.im,
-            &w_shape,
-            self.stride,
-            self.pad,
-        ));
+        self.w_re.grad.add_assign(&weight_grad(&dy.re, &x.re));
+        if !im_product_is_zero(im_zero, &dy.im) {
+            self.w_re.grad.add_assign(&weight_grad(&dy.im, &x.im));
+        }
         if !self.real_only {
-            self.w_im.grad.sub_assign(&conv2d_backward_weight(
-                &dy.re,
-                &x.im,
-                &w_shape,
-                self.stride,
-                self.pad,
-            ));
-            self.w_im.grad.add_assign(&conv2d_backward_weight(
-                &dy.im,
-                &x.re,
-                &w_shape,
-                self.stride,
-                self.pad,
-            ));
+            if !im_product_is_zero(im_zero, &dy.re) {
+                self.w_im.grad.sub_assign(&weight_grad(&dy.re, &x.im));
+            }
+            self.w_im.grad.add_assign(&weight_grad(&dy.im, &x.re));
         }
 
         // Bias gradients: sum over batch and spatial positions.
@@ -236,27 +180,70 @@ impl CLayer for CConv2d {
                 self.b_im.grad.as_mut_slice()[oc] += im_sum;
             }
         }
+        x
+    }
 
-        let x_shape = x.shape().to_vec();
-        let mut dx_re =
-            conv2d_backward_input(&dy.re, &self.w_re.value, &x_shape, self.stride, self.pad);
+    fn add_bias(&self, y: &mut Tensor, b: &Tensor) {
+        let (n, o, h, w) = (y.shape()[0], y.shape()[1], y.shape()[2], y.shape()[3]);
+        for bi in 0..n {
+            for oc in 0..o {
+                let bv = b.as_slice()[oc];
+                let base = ((bi * o + oc) * h) * w;
+                for v in &mut y.as_mut_slice()[base..base + h * w] {
+                    *v += bv;
+                }
+            }
+        }
+    }
+}
+
+impl CLayer for CConv2d {
+    fn forward(&mut self, x: &CTensor, train: bool) -> CTensor {
+        assert_eq!(x.shape().len(), 4, "CConv2d expects [N, C, H, W]");
+        assert_eq!(x.shape()[1], self.in_ch, "CConv2d channel mismatch");
+        let im_zero = all_zero(&x.im);
+        if train {
+            self.cache = Some((x.clone(), im_zero));
+        }
+        let (stride, pad) = (self.stride, self.pad);
+        let mut y_re = conv2d_forward(&x.re, &self.w_re.value, stride, pad);
+        let mut y_im = conv2d_forward(&x.re, &self.w_im.value, stride, pad);
+        if !im_product_is_zero(im_zero, &self.w_im.value) {
+            y_re.sub_assign(&conv2d_forward(&x.im, &self.w_im.value, stride, pad));
+        }
+        if !im_product_is_zero(im_zero, &self.w_re.value) {
+            y_im.add_assign(&conv2d_forward(&x.im, &self.w_re.value, stride, pad));
+        }
+        self.add_bias(&mut y_re, &self.b_re.value);
+        self.add_bias(&mut y_im, &self.b_im.value);
+        CTensor::new(y_re, y_im)
+    }
+
+    fn backward(&mut self, dy: &CTensor) -> CTensor {
+        let x = self.param_grads(dy);
+        let x_shape = x.shape();
+        let (stride, pad) = (self.stride, self.pad);
+        let mut dx_re = conv2d_backward_input(&dy.re, &self.w_re.value, x_shape, stride, pad);
         dx_re.add_assign(&conv2d_backward_input(
             &dy.im,
             &self.w_im.value,
-            &x_shape,
-            self.stride,
-            self.pad,
+            x_shape,
+            stride,
+            pad,
         ));
-        let mut dx_im =
-            conv2d_backward_input(&dy.im, &self.w_re.value, &x_shape, self.stride, self.pad);
+        let mut dx_im = conv2d_backward_input(&dy.im, &self.w_re.value, x_shape, stride, pad);
         dx_im.sub_assign(&conv2d_backward_input(
             &dy.re,
             &self.w_im.value,
-            &x_shape,
-            self.stride,
-            self.pad,
+            x_shape,
+            stride,
+            pad,
         ));
         CTensor::new(dx_re, dx_im)
+    }
+
+    fn backward_params(&mut self, dy: &CTensor) {
+        self.param_grads(dy);
     }
 
     fn visit_params(&mut self, visitor: &mut ParamVisitor) {
@@ -280,8 +267,137 @@ impl CLayer for CConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::skip_oracle::{assert_matches_oracle, imaginary, poison};
+    use crate::layers::CDense;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The four-product step `CConv2d` ran before it skipped products,
+    /// without the old real-only guard: the oracle its forward and
+    /// gradients are pinned to. Returns `(y, dx)`.
+    fn oracle_step(layer: &mut CConv2d, x: &CTensor, dy: &CTensor) -> (CTensor, CTensor) {
+        let (s, p) = (layer.stride, layer.pad);
+        let (w_re, w_im) = (&layer.w_re.value, &layer.w_im.value);
+        let mut y_re = conv2d_forward(&x.re, w_re, s, p);
+        let mut y_im = conv2d_forward(&x.re, w_im, s, p);
+        y_re.sub_assign(&conv2d_forward(&x.im, w_im, s, p));
+        y_im.add_assign(&conv2d_forward(&x.im, w_re, s, p));
+        layer.add_bias(&mut y_re, &layer.b_re.value);
+        layer.add_bias(&mut y_im, &layer.b_im.value);
+
+        let x_shape = x.shape();
+        let mut dx_re = conv2d_backward_input(&dy.re, w_re, x_shape, s, p);
+        dx_re.add_assign(&conv2d_backward_input(&dy.im, w_im, x_shape, s, p));
+        let mut dx_im = conv2d_backward_input(&dy.im, w_re, x_shape, s, p);
+        dx_im.sub_assign(&conv2d_backward_input(&dy.re, w_im, x_shape, s, p));
+
+        let w_shape = w_re.shape().to_vec();
+        let w_re = &mut layer.w_re.grad;
+        w_re.add_assign(&conv2d_backward_weight(&dy.re, &x.re, &w_shape, s, p));
+        w_re.add_assign(&conv2d_backward_weight(&dy.im, &x.im, &w_shape, s, p));
+        if !layer.real_only {
+            let w_im = &mut layer.w_im.grad;
+            w_im.sub_assign(&conv2d_backward_weight(&dy.re, &x.im, &w_shape, s, p));
+            w_im.add_assign(&conv2d_backward_weight(&dy.im, &x.re, &w_shape, s, p));
+        }
+        let (n, o, h, w) = (
+            dy.re.shape()[0],
+            dy.re.shape()[1],
+            dy.re.shape()[2],
+            dy.re.shape()[3],
+        );
+        for bi in 0..n {
+            for oc in 0..o {
+                let base = ((bi * o + oc) * h) * w;
+                let re_sum: f32 = dy.re.as_slice()[base..base + h * w].iter().sum();
+                let im_sum: f32 = dy.im.as_slice()[base..base + h * w].iter().sum();
+                layer.b_re.grad.as_mut_slice()[oc] += re_sum;
+                layer.b_im.grad.as_mut_slice()[oc] += im_sum;
+            }
+        }
+        (CTensor::new(y_re, y_im), CTensor::new(dx_re, dx_im))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The conv twin of the dense layer's oracle proptest: kernel 1 or
+        /// 3, padding 0–1, stride 1–2, every kind of imaginary input, a
+        /// non-finite value injected into nothing (0), `w_re`, `w_im`,
+        /// `dy.re` or `dy.im` (1–4), real-only or complex.
+        #[test]
+        fn skipping_is_bitwise_the_four_product_oracle(
+            kernel in 0usize..2,
+            pad in 0usize..=1,
+            stride in 1usize..=2,
+            im_kind in 0usize..5,
+            poisoned in 0usize..5,
+            real_only in 0usize..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let kernel = 2 * kernel + 1;
+            let (batch, in_ch, out_ch) =
+                (rng.gen_range(1..=3), rng.gen_range(1..=3), rng.gen_range(1..=4));
+            let min_hw = kernel.saturating_sub(2 * pad).max(1);
+            let (h, w) = (rng.gen_range(min_hw..=7), rng.gen_range(min_hw..=7));
+            let x_shape = [batch, in_ch, h, w];
+            let x = CTensor::new(
+                Tensor::random_uniform(&x_shape, 1.0, &mut rng),
+                imaginary(im_kind, &x_shape, &mut rng),
+            );
+            let (ho, wo) = (conv_out_size(h, kernel, stride, pad), conv_out_size(w, kernel, stride, pad));
+            let dy_shape = [batch, out_ch, ho, wo];
+            let mut dy = CTensor::new(
+                Tensor::random_uniform(&dy_shape, 1.0, &mut rng),
+                Tensor::random_uniform(&dy_shape, 1.0, &mut rng),
+            );
+            let weights = out_ch * in_ch * kernel * kernel;
+            let (at, value) = poison(if poisoned < 3 { weights } else { dy.numel() }, &mut rng);
+            match poisoned {
+                3 => dy.re.as_mut_slice()[at] = value,
+                4 => dy.im.as_mut_slice()[at] = value,
+                _ => {}
+            }
+            let make = || {
+                let mut rng = StdRng::seed_from_u64(seed ^ 1);
+                let build = if real_only == 1 { CConv2d::new_real } else { CConv2d::new };
+                let mut layer = build(in_ch, out_ch, kernel, stride, pad, &mut rng);
+                match poisoned {
+                    1 => layer.w_re.value.as_mut_slice()[at] = value,
+                    2 => layer.w_im.value.as_mut_slice()[at] = value,
+                    _ => {}
+                }
+                layer
+            };
+            assert_matches_oracle(make, oracle_step, &x, &dy, seed ^ 2);
+        }
+    }
+
+    /// A NaN in the imaginary input reaches a real-only conv's output, as
+    /// it does a real-only dense layer's: an all-zero test that reads
+    /// `max_abs` would take the NaN for zero and drop it.
+    #[test]
+    fn real_only_conv_propagates_a_nan_imaginary_input() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut im = Tensor::zeros(&[1, 1, 4, 4]);
+        im.as_mut_slice()[5] = f32::NAN;
+        let x = CTensor::new(Tensor::random_uniform(&[1, 1, 4, 4], 1.0, &mut rng), im);
+        let non_finite = |y: &CTensor| {
+            y.re.as_slice()
+                .iter()
+                .chain(y.im.as_slice())
+                .any(|v| !v.is_finite())
+        };
+        let mut conv = CConv2d::new_real(1, 2, 3, 1, 1, &mut rng);
+        assert!(non_finite(&conv.forward(&x, false)), "conv output");
+        let mut dense = CDense::new_real(16, 2, &mut rng);
+        assert!(
+            non_finite(&dense.forward(&x.reshape(&[1, 16]), false)),
+            "dense output"
+        );
+    }
 
     #[test]
     fn forward_shape() {

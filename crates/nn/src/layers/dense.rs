@@ -1,6 +1,6 @@
 //! Fully connected complex layer.
 
-use super::CLayer;
+use super::{all_zero, im_product_is_zero, CLayer};
 use crate::ctensor::CTensor;
 use crate::functional::{dense_backward_input, dense_backward_weight, dense_forward};
 use crate::param::{Param, ParamVisitor};
@@ -27,7 +27,8 @@ pub struct CDense {
     b_re: Param,
     b_im: Param,
     real_only: bool,
-    cache: Option<CTensor>,
+    /// The training input, and whether its imaginary half is all zero.
+    cache: Option<(CTensor, bool)>,
 }
 
 impl CDense {
@@ -113,20 +114,34 @@ impl CLayer for CDense {
     fn forward(&mut self, x: &CTensor, train: bool) -> CTensor {
         assert_eq!(x.shape().len(), 2, "CDense expects [batch, features]");
         assert_eq!(x.shape()[1], self.n_in, "CDense fan-in mismatch");
+        let im_zero = all_zero(&x.im);
         if train {
-            self.cache = Some(x.clone());
+            self.cache = Some((x.clone(), im_zero));
         }
         let mut y_re = dense_forward(&x.re, &self.w_re.value);
         let mut y_im = dense_forward(&x.re, &self.w_im.value);
-        y_re.sub_assign(&dense_forward(&x.im, &self.w_im.value));
-        y_im.add_assign(&dense_forward(&x.im, &self.w_re.value));
+        if !im_product_is_zero(im_zero, &self.w_im.value) {
+            y_re.sub_assign(&dense_forward(&x.im, &self.w_im.value));
+        }
+        if !im_product_is_zero(im_zero, &self.w_re.value) {
+            y_im.add_assign(&dense_forward(&x.im, &self.w_re.value));
+        }
         self.add_bias(&mut y_re, &self.b_re.value);
         self.add_bias(&mut y_im, &self.b_im.value);
         CTensor::new(y_re, y_im)
     }
 
     fn backward(&mut self, dy: &CTensor) -> CTensor {
-        let x = self
+        self.backward_params(dy);
+        let mut dx_re = dense_backward_input(&dy.re, &self.w_re.value);
+        dx_re.add_assign(&dense_backward_input(&dy.im, &self.w_im.value));
+        let mut dx_im = dense_backward_input(&dy.im, &self.w_re.value);
+        dx_im.sub_assign(&dense_backward_input(&dy.re, &self.w_im.value));
+        CTensor::new(dx_re, dx_im)
+    }
+
+    fn backward_params(&mut self, dy: &CTensor) {
+        let (x, im_zero) = self
             .cache
             .take()
             .expect("backward called before forward(train=true)");
@@ -135,13 +150,17 @@ impl CLayer for CDense {
         self.w_re
             .grad
             .add_assign(&dense_backward_weight(&dy.re, &x.re));
-        self.w_re
-            .grad
-            .add_assign(&dense_backward_weight(&dy.im, &x.im));
-        if !self.real_only {
-            self.w_im
+        if !im_product_is_zero(im_zero, &dy.im) {
+            self.w_re
                 .grad
-                .sub_assign(&dense_backward_weight(&dy.re, &x.im));
+                .add_assign(&dense_backward_weight(&dy.im, &x.im));
+        }
+        if !self.real_only {
+            if !im_product_is_zero(im_zero, &dy.re) {
+                self.w_im
+                    .grad
+                    .sub_assign(&dense_backward_weight(&dy.re, &x.im));
+            }
             self.w_im
                 .grad
                 .add_assign(&dense_backward_weight(&dy.im, &x.re));
@@ -157,13 +176,6 @@ impl CLayer for CDense {
                 }
             }
         }
-
-        // Input gradients.
-        let mut dx_re = dense_backward_input(&dy.re, &self.w_re.value);
-        dx_re.add_assign(&dense_backward_input(&dy.im, &self.w_im.value));
-        let mut dx_im = dense_backward_input(&dy.im, &self.w_re.value);
-        dx_im.sub_assign(&dense_backward_input(&dy.re, &self.w_im.value));
-        CTensor::new(dx_re, dx_im)
     }
 
     fn visit_params(&mut self, visitor: &mut ParamVisitor) {
@@ -187,8 +199,101 @@ impl CLayer for CDense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::skip_oracle::{assert_matches_oracle, imaginary, poison};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The four-product step `CDense` ran before it skipped products: the
+    /// oracle its forward and gradients are pinned to. Returns `(y, dx)`.
+    fn oracle_step(layer: &mut CDense, x: &CTensor, dy: &CTensor) -> (CTensor, CTensor) {
+        let (w_re, w_im) = (&layer.w_re.value, &layer.w_im.value);
+        let mut y_re = dense_forward(&x.re, w_re);
+        let mut y_im = dense_forward(&x.re, w_im);
+        y_re.sub_assign(&dense_forward(&x.im, w_im));
+        y_im.add_assign(&dense_forward(&x.im, w_re));
+        layer.add_bias(&mut y_re, &layer.b_re.value);
+        layer.add_bias(&mut y_im, &layer.b_im.value);
+
+        let mut dx_re = dense_backward_input(&dy.re, w_re);
+        dx_re.add_assign(&dense_backward_input(&dy.im, w_im));
+        let mut dx_im = dense_backward_input(&dy.im, w_re);
+        dx_im.sub_assign(&dense_backward_input(&dy.re, w_im));
+
+        let w_re = &mut layer.w_re.grad;
+        w_re.add_assign(&dense_backward_weight(&dy.re, &x.re));
+        w_re.add_assign(&dense_backward_weight(&dy.im, &x.im));
+        if !layer.real_only {
+            let w_im = &mut layer.w_im.grad;
+            w_im.sub_assign(&dense_backward_weight(&dy.re, &x.im));
+            w_im.add_assign(&dense_backward_weight(&dy.im, &x.re));
+        }
+        let k = dy.re.shape()[1];
+        for (grad, dy) in [
+            (&mut layer.b_re.grad, &dy.re),
+            (&mut layer.b_im.grad, &dy.im),
+        ] {
+            for row in dy.as_slice().chunks_exact(k) {
+                for (g, &d) in grad.as_mut_slice().iter_mut().zip(row) {
+                    *g += d;
+                }
+            }
+        }
+        (CTensor::new(y_re, y_im), CTensor::new(dx_re, dx_im))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Forward outputs, `backward_params` and `backward` gradients
+        /// accumulated onto nonzero priors, and `backward`'s `dx` are
+        /// bitwise the four-product oracle's, for every kind of imaginary
+        /// input (`imaginary`), with a non-finite value injected into
+        /// nothing (0), `w_re`, `w_im`, `dy.re` or `dy.im` (1–4), real-only
+        /// or complex.
+        #[test]
+        fn skipping_is_bitwise_the_four_product_oracle(
+            batch in 1usize..=40,
+            n_in in 1usize..=70,
+            n_out in 1usize..=40,
+            im_kind in 0usize..5,
+            poisoned in 0usize..5,
+            real_only in 0usize..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x = CTensor::new(
+                Tensor::random_uniform(&[batch, n_in], 1.0, &mut rng),
+                imaginary(im_kind, &[batch, n_in], &mut rng),
+            );
+            let mut dy = CTensor::new(
+                Tensor::random_uniform(&[batch, n_out], 1.0, &mut rng),
+                Tensor::random_uniform(&[batch, n_out], 1.0, &mut rng),
+            );
+            let weights = n_in * n_out;
+            let (at, value) = poison(if poisoned < 3 { weights } else { dy.numel() }, &mut rng);
+            match poisoned {
+                3 => dy.re.as_mut_slice()[at] = value,
+                4 => dy.im.as_mut_slice()[at] = value,
+                _ => {}
+            }
+            let make = || {
+                let mut rng = StdRng::seed_from_u64(seed ^ 1);
+                let mut layer = if real_only == 1 {
+                    CDense::new_real(n_in, n_out, &mut rng)
+                } else {
+                    CDense::new(n_in, n_out, &mut rng)
+                };
+                match poisoned {
+                    1 => layer.w_re.value.as_mut_slice()[at] = value,
+                    2 => layer.w_im.value.as_mut_slice()[at] = value,
+                    _ => {}
+                }
+                layer
+            };
+            assert_matches_oracle(make, oracle_step, &x, &dy, seed ^ 2);
+        }
+    }
 
     fn finite_diff_loss(layer: &mut CDense, x: &CTensor) -> f64 {
         // Loss = sum(y_re) + 2*sum(y_im); deterministic and sensitive to

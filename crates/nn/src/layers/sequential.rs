@@ -67,6 +67,19 @@ impl CLayer for CSequential {
         cur
     }
 
+    /// Layers `1..` run [`backward`](CLayer::backward), and layer 0, whose
+    /// input gradient would be the container's, runs `backward_params`.
+    fn backward_params(&mut self, dy: &CTensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let dz = rest
+            .iter_mut()
+            .rev()
+            .fold(dy.clone(), |d, layer| layer.backward(&d));
+        first.backward_params(&dz);
+    }
+
     fn visit_params(&mut self, visitor: &mut ParamVisitor) {
         for layer in &mut self.layers {
             layer.visit_params(visitor);
@@ -102,6 +115,48 @@ mod tests {
             Tensor::zeros(&[2, 2]),
         ));
         assert_eq!(dx.shape(), &[2, 4]);
+    }
+
+    /// `backward_params` skips only the first layer's input gradient: every
+    /// parameter gradient is bitwise what `backward` leaves, for an input
+    /// with an all-zero imaginary half and for a complex one.
+    #[test]
+    fn backward_params_leaves_the_gradients_of_backward() {
+        use crate::layers::skip_oracle::grad_bits;
+        use crate::layers::{CAvgPool2d, CConv2d, CFlatten};
+
+        for complex in [false, true] {
+            let make = || {
+                let mut rng = StdRng::seed_from_u64(3);
+                CSequential::new()
+                    .push(CConv2d::new(2, 3, 3, 1, 1, &mut rng))
+                    .push(CRelu::new())
+                    .push(CAvgPool2d::new(2))
+                    .push(CFlatten::new())
+                    .push(CDense::new(12, 5, &mut rng))
+                    .push(CRelu::new())
+                    .push(CDense::new(5, 2, &mut rng))
+            };
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut x = CTensor::from_re(Tensor::random_uniform(&[3, 2, 4, 4], 1.0, &mut rng));
+            if complex {
+                x.im = Tensor::random_uniform(&[3, 2, 4, 4], 1.0, &mut rng);
+            }
+            let dy = CTensor::new(
+                Tensor::random_uniform(&[3, 2], 1.0, &mut rng),
+                Tensor::random_uniform(&[3, 2], 1.0, &mut rng),
+            );
+            let (mut full, mut params) = (make(), make());
+            full.forward(&x, true);
+            full.backward(&dy);
+            params.forward(&x, true);
+            params.backward_params(&dy);
+            assert_eq!(
+                grad_bits(&mut params),
+                grad_bits(&mut full),
+                "complex input: {complex}"
+            );
+        }
     }
 
     #[test]

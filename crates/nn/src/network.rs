@@ -29,10 +29,11 @@ impl Network {
     }
 
     /// Backward pass from a logit gradient; accumulates parameter
-    /// gradients and returns the gradient with respect to the input.
-    pub fn backward(&mut self, dlogits: &Tensor) -> CTensor {
+    /// gradients. The input gradient is not computed: the body runs
+    /// [`CLayer::backward_params`], so its first layer skips it.
+    pub fn backward(&mut self, dlogits: &Tensor) {
         let dz = self.head.backward(dlogits);
-        self.body.backward(&dz)
+        self.body.backward_params(&dz);
     }
 
     /// Visits every trainable parameter (body first, head last) in a
