@@ -471,6 +471,53 @@ mod tests {
         );
     }
 
+    /// A real-valued FCNN (Table II's RVNN arm) trained on the
+    /// conventional view reaches weight bits recorded before real-only
+    /// layers learned to skip the products of their frozen, all-zero
+    /// `W_im`; every dense forward and backward product feeds these bits.
+    #[test]
+    fn rvnn_fcnn_weights_are_pinned_bitwise() {
+        let cfg = SynthConfig {
+            height: 8,
+            width: 8,
+            samples: 96,
+            ..Default::default()
+        };
+        let pair = DatasetPair::new(
+            digits(&cfg),
+            digits(&SynthConfig {
+                samples: 48,
+                seed: 1,
+                ..cfg
+            }),
+        );
+        let data = AssignStage::flat(AssignmentKind::Conventional)
+            .run(pair)
+            .expect("assign");
+        let rvnn = Box::new(|data: &AssignedData, rng: &mut StdRng| {
+            Ok(build_fcnn(
+                &FcnnConfig {
+                    input: data.assigned_features(),
+                    hidden: 64,
+                    classes: data.classes,
+                },
+                ModelVariant::Rvnn,
+                rng,
+            ))
+        });
+        let setup = TrainSetup {
+            epochs: 2,
+            ..OplixNetBuilder::default().setup
+        };
+        let (mut net, teacher, _) = TrainStage::new(rvnn, setup, 7).fit(&data).expect("train");
+        assert!(teacher.is_none());
+        assert_eq!(
+            weight_hash(&mut net),
+            0x84e0_f8b9_38c0_3a9e,
+            "trained RVNN weight bits"
+        );
+    }
+
     #[test]
     fn default_and_new_agree() {
         let a = format!("{:?}", OplixNetBuilder::new());

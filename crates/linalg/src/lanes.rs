@@ -6,10 +6,13 @@
 //! construction* rather than by hoping the autovectoriser picks the same
 //! operation order:
 //!
-//! * A lane type is a plain `[T; LANES]` wrapper ([`F64x4`], [`F32x8`])
-//!   whose arithmetic is element-wise `+`/`-`/`*` — the exact scalar IEEE
-//!   operations, one per element, in the order the scalar loop would run
-//!   them. Fixed trip counts turn each op into one vector instruction.
+//! * A lane type is a plain `[T; LANES]` wrapper whose arithmetic is
+//!   element-wise `+`/`-`/`*` — the exact scalar IEEE operations, one per
+//!   element, in the order the scalar loop would run them. Fixed trip
+//!   counts turn each op into one vector instruction. The `f64` widths are
+//!   [`F64x8`], [`F64x4`] and the one-lane [`F64x1`] (a kernel's leftover
+//!   rows run its own body at the narrower widths instead of a separate
+//!   scalar loop); the `f32` widths are [`F32x16`] and [`F32x8`].
 //! * There is deliberately **no** fused multiply-add anywhere: `a * b + c`
 //!   stays two roundings, exactly like the scalar path (Rust never
 //!   contracts `mul`+`add` into `fma`, and this module never calls
@@ -36,9 +39,10 @@ use std::ops::{Add, Mul, Sub};
 /// The operations a kernel written against lane vectors of `T` needs:
 /// element-wise `+`/`-`/`*` (via the operator bounds), broadcast, and
 /// slice load/store. Implemented by every width of a scalar type
-/// ([`F64x4`] and [`F64x8`] for `f64`, [`F32x8`] and [`F32x16`] for
-/// `f32`), so a kernel generic over `V: Lane<f64>` monomorphises to any
-/// register width while running the identical per-element operations.
+/// ([`F64x1`], [`F64x4`] and [`F64x8`] for `f64`, [`F32x8`] and
+/// [`F32x16`] for `f32`), so a kernel generic over `V: Lane<f64>`
+/// monomorphises to any register width while running the identical
+/// per-element operations.
 pub trait Lane<T: Copy>:
     Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self>
 {
@@ -172,6 +176,14 @@ macro_rules! lane_type {
         }
     };
 }
+
+lane_type!(
+    /// One `f64` lane — the narrowest width, for the rows a kernel has
+    /// left over after its wider chunks.
+    F64x1,
+    f64,
+    1
+);
 
 lane_type!(
     /// Four `f64` lanes — one AVX ymm register worth of doubles.

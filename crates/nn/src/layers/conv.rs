@@ -205,10 +205,16 @@ impl CLayer for CConv2d {
         if train {
             self.cache = Some((x.clone(), im_zero));
         }
+        let w_im_zero = all_zero(&self.w_im.value);
         let (stride, pad) = (self.stride, self.pad);
         let mut y_re = conv2d_forward(&x.re, &self.w_re.value, stride, pad);
-        let mut y_im = conv2d_forward(&x.re, &self.w_im.value, stride, pad);
-        if !im_product_is_zero(im_zero, &self.w_im.value) {
+        let mut y_im = if im_product_is_zero(w_im_zero, &x.re) {
+            Tensor::zeros(y_re.shape())
+        } else {
+            conv2d_forward(&x.re, &self.w_im.value, stride, pad)
+        };
+        if !(im_product_is_zero(im_zero, &self.w_im.value) || im_product_is_zero(w_im_zero, &x.im))
+        {
             y_re.sub_assign(&conv2d_forward(&x.im, &self.w_im.value, stride, pad));
         }
         if !im_product_is_zero(im_zero, &self.w_re.value) {
@@ -223,22 +229,17 @@ impl CLayer for CConv2d {
         let x = self.param_grads(dy);
         let x_shape = x.shape();
         let (stride, pad) = (self.stride, self.pad);
-        let mut dx_re = conv2d_backward_input(&dy.re, &self.w_re.value, x_shape, stride, pad);
-        dx_re.add_assign(&conv2d_backward_input(
-            &dy.im,
-            &self.w_im.value,
-            x_shape,
-            stride,
-            pad,
-        ));
-        let mut dx_im = conv2d_backward_input(&dy.im, &self.w_re.value, x_shape, stride, pad);
-        dx_im.sub_assign(&conv2d_backward_input(
-            &dy.re,
-            &self.w_im.value,
-            x_shape,
-            stride,
-            pad,
-        ));
+        let input_grad =
+            |dy: &Tensor, w: &Tensor| conv2d_backward_input(dy, w, x_shape, stride, pad);
+        let w_im_zero = all_zero(&self.w_im.value);
+        let mut dx_re = input_grad(&dy.re, &self.w_re.value);
+        if !im_product_is_zero(w_im_zero, &dy.im) {
+            dx_re.add_assign(&input_grad(&dy.im, &self.w_im.value));
+        }
+        let mut dx_im = input_grad(&dy.im, &self.w_re.value);
+        if !im_product_is_zero(w_im_zero, &dy.re) {
+            dx_im.sub_assign(&input_grad(&dy.re, &self.w_im.value));
+        }
         CTensor::new(dx_re, dx_im)
     }
 
@@ -325,14 +326,15 @@ mod tests {
         /// The conv twin of the dense layer's oracle proptest: kernel 1 or
         /// 3, padding 0–1, stride 1–2, every kind of imaginary input, a
         /// non-finite value injected into nothing (0), `w_re`, `w_im`,
-        /// `dy.re` or `dy.im` (1–4), real-only or complex.
+        /// `dy.re`, `dy.im` or `x.re` (1–5), or `0.5` (6) or `−0` (7)
+        /// written into `w_im`, real-only or complex.
         #[test]
         fn skipping_is_bitwise_the_four_product_oracle(
             kernel in 0usize..2,
             pad in 0usize..=1,
             stride in 1usize..=2,
             im_kind in 0usize..5,
-            poisoned in 0usize..5,
+            poisoned in 0usize..8,
             real_only in 0usize..2,
             seed in 0u64..u64::MAX,
         ) {
@@ -343,7 +345,7 @@ mod tests {
             let min_hw = kernel.saturating_sub(2 * pad).max(1);
             let (h, w) = (rng.gen_range(min_hw..=7), rng.gen_range(min_hw..=7));
             let x_shape = [batch, in_ch, h, w];
-            let x = CTensor::new(
+            let mut x = CTensor::new(
                 Tensor::random_uniform(&x_shape, 1.0, &mut rng),
                 imaginary(im_kind, &x_shape, &mut rng),
             );
@@ -354,10 +356,16 @@ mod tests {
                 Tensor::random_uniform(&dy_shape, 1.0, &mut rng),
             );
             let weights = out_ch * in_ch * kernel * kernel;
-            let (at, value) = poison(if poisoned < 3 { weights } else { dy.numel() }, &mut rng);
+            let len = match poisoned {
+                3 | 4 => dy.numel(),
+                5 => x.numel(),
+                _ => weights,
+            };
+            let (at, value) = poison(len, &mut rng);
             match poisoned {
                 3 => dy.re.as_mut_slice()[at] = value,
                 4 => dy.im.as_mut_slice()[at] = value,
+                5 => x.re.as_mut_slice()[at] = value,
                 _ => {}
             }
             let make = || {
@@ -367,6 +375,8 @@ mod tests {
                 match poisoned {
                     1 => layer.w_re.value.as_mut_slice()[at] = value,
                     2 => layer.w_im.value.as_mut_slice()[at] = value,
+                    6 => layer.w_im.value.as_mut_slice()[at] = 0.5,
+                    7 => layer.w_im.value.as_mut_slice()[at] = -0.0,
                     _ => {}
                 }
                 layer

@@ -118,9 +118,15 @@ impl CLayer for CDense {
         if train {
             self.cache = Some((x.clone(), im_zero));
         }
+        let w_im_zero = all_zero(&self.w_im.value);
         let mut y_re = dense_forward(&x.re, &self.w_re.value);
-        let mut y_im = dense_forward(&x.re, &self.w_im.value);
-        if !im_product_is_zero(im_zero, &self.w_im.value) {
+        let mut y_im = if im_product_is_zero(w_im_zero, &x.re) {
+            Tensor::zeros(y_re.shape())
+        } else {
+            dense_forward(&x.re, &self.w_im.value)
+        };
+        if !(im_product_is_zero(im_zero, &self.w_im.value) || im_product_is_zero(w_im_zero, &x.im))
+        {
             y_re.sub_assign(&dense_forward(&x.im, &self.w_im.value));
         }
         if !im_product_is_zero(im_zero, &self.w_re.value) {
@@ -133,10 +139,15 @@ impl CLayer for CDense {
 
     fn backward(&mut self, dy: &CTensor) -> CTensor {
         self.backward_params(dy);
+        let w_im_zero = all_zero(&self.w_im.value);
         let mut dx_re = dense_backward_input(&dy.re, &self.w_re.value);
-        dx_re.add_assign(&dense_backward_input(&dy.im, &self.w_im.value));
+        if !im_product_is_zero(w_im_zero, &dy.im) {
+            dx_re.add_assign(&dense_backward_input(&dy.im, &self.w_im.value));
+        }
         let mut dx_im = dense_backward_input(&dy.im, &self.w_re.value);
-        dx_im.sub_assign(&dense_backward_input(&dy.re, &self.w_im.value));
+        if !im_product_is_zero(w_im_zero, &dy.re) {
+            dx_im.sub_assign(&dense_backward_input(&dy.re, &self.w_im.value));
+        }
         CTensor::new(dx_re, dx_im)
     }
 
@@ -249,20 +260,22 @@ mod tests {
         /// accumulated onto nonzero priors, and `backward`'s `dx` are
         /// bitwise the four-product oracle's, for every kind of imaginary
         /// input (`imaginary`), with a non-finite value injected into
-        /// nothing (0), `w_re`, `w_im`, `dy.re` or `dy.im` (1–4), real-only
-        /// or complex.
+        /// nothing (0), `w_re`, `w_im`, `dy.re`, `dy.im` or `x.re` (1–5), or
+        /// `0.5` (6) or `−0` (7) written into `w_im`, real-only or complex:
+        /// a real-only layer skips its `W_im` products only while `W_im`
+        /// is all zero.
         #[test]
         fn skipping_is_bitwise_the_four_product_oracle(
             batch in 1usize..=40,
             n_in in 1usize..=70,
             n_out in 1usize..=40,
             im_kind in 0usize..5,
-            poisoned in 0usize..5,
+            poisoned in 0usize..8,
             real_only in 0usize..2,
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let x = CTensor::new(
+            let mut x = CTensor::new(
                 Tensor::random_uniform(&[batch, n_in], 1.0, &mut rng),
                 imaginary(im_kind, &[batch, n_in], &mut rng),
             );
@@ -271,10 +284,16 @@ mod tests {
                 Tensor::random_uniform(&[batch, n_out], 1.0, &mut rng),
             );
             let weights = n_in * n_out;
-            let (at, value) = poison(if poisoned < 3 { weights } else { dy.numel() }, &mut rng);
+            let len = match poisoned {
+                3 | 4 => dy.numel(),
+                5 => x.numel(),
+                _ => weights,
+            };
+            let (at, value) = poison(len, &mut rng);
             match poisoned {
                 3 => dy.re.as_mut_slice()[at] = value,
                 4 => dy.im.as_mut_slice()[at] = value,
+                5 => x.re.as_mut_slice()[at] = value,
                 _ => {}
             }
             let make = || {
@@ -287,6 +306,8 @@ mod tests {
                 match poisoned {
                     1 => layer.w_re.value.as_mut_slice()[at] = value,
                     2 => layer.w_im.value.as_mut_slice()[at] = value,
+                    6 => layer.w_im.value.as_mut_slice()[at] = 0.5,
+                    7 => layer.w_im.value.as_mut_slice()[at] = -0.0,
                     _ => {}
                 }
                 layer

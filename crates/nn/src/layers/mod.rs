@@ -42,25 +42,42 @@ use crate::ctensor::CTensor;
 use crate::param::ParamVisitor;
 use crate::tensor::Tensor;
 
+/// Elements per branch-free block of the scans below: a short-circuiting
+/// `iter().all` does not vectorise, so each block folds without a branch
+/// and the scan stops at the first block that fails.
+const SCAN_BLOCK: usize = 64;
+
+/// Whether `pass` holds for every element of `values`, folded blockwise.
+#[inline]
+fn all_blockwise(values: &[f32], pass: impl Fn(f32) -> bool) -> bool {
+    values
+        .chunks(SCAN_BLOCK)
+        .all(|block| block.iter().fold(true, |all, &v| all & pass(v)))
+}
+
 /// Whether every element of `t` is `== 0.0`: either sign of zero passes,
 /// a NaN fails.
 fn all_zero(t: &Tensor) -> bool {
-    t.as_slice().iter().all(|&v| v == 0.0)
+    all_blockwise(t.as_slice(), |v| v == 0.0)
 }
 
-/// Whether a bilinear product of an input's imaginary half with `operand`
-/// is exactly `+0` everywhere, so a layer may skip computing it:
-/// `im_zero` is [`all_zero`] of that half, and every element of `operand`
-/// must be finite (`0 · ±inf` is NaN).
+/// Whether a bilinear product of an imaginary half with `operand` is
+/// exactly `+0` everywhere, so a layer may skip computing it: `im_zero` is
+/// [`all_zero`] of that half (an input's `x.im`, or the weight's `W_im`,
+/// frozen at zero in a real-only layer but writable through
+/// `weight_mut`), and every element of `operand` must be finite
+/// (`0 · ±inf` is NaN).
 ///
 /// The dense and conv kernels add each output's products from `+0`, so
 /// such an output is `+0` and no output of theirs is ever `−0`. Parameter
 /// gradients start at `+0` and only take sums and differences of these
 /// outputs, so they are never `−0` either. The skipped `y − (+0)`,
 /// `y + (+0)` and `g ± (+0)` therefore return their left operand bit for
-/// bit, for every value these tensors can hold.
+/// bit, for every value these tensors can hold, and a skipped product
+/// that would have started an output is a `+0` tensor.
 fn im_product_is_zero(im_zero: bool, operand: &Tensor) -> bool {
-    im_zero && operand.as_slice().iter().all(|v| v.is_finite())
+    // `|v| < inf` is `is_finite` (NaN compares false) without its branch.
+    im_zero && all_blockwise(operand.as_slice(), |v| v.abs() < f32::INFINITY)
 }
 
 /// A complex-valued network layer.

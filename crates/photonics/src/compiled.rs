@@ -51,7 +51,10 @@
 //! multiply–add per matrix entry instead of one butterfly per MZI);
 //! [`Fidelity::Golden`] is the MZI-by-MZI walk, bitwise the interpreted
 //! layer, and stays the reference `Transfer` is tolerance-pinned against.
-//! Within each tier, lane sweeps and scalar tails are bitwise equal.
+//! Within each tier, a row's result is bitwise the same at every lane
+//! width: the Golden walk's lane sweeps equal its scalar tails, and the
+//! Transfer sweep runs leftover rows through its own body at narrower
+//! lanes.
 //!
 //! **Convolutions.** A conv layer lowers to one im2col kernel matrix that
 //! serves every output position. At [`Fidelity::Transfer`]
@@ -64,7 +67,9 @@
 use crate::devices::Mzi;
 use crate::mesh::MziMesh;
 use crate::svd_map::PhotonicLayer;
-use oplix_linalg::lanes::{cmul_splat_lhs, cmul_splat_rhs, dispatch, F64x8, Lane, LaneKernel};
+use oplix_linalg::lanes::{
+    cmul_splat_lhs, cmul_splat_rhs, dispatch, F64x1, F64x4, F64x8, Lane, LaneKernel,
+};
 use oplix_linalg::Complex64;
 
 std::thread_local! {
@@ -1000,15 +1005,12 @@ impl CompiledLayer {
         });
     }
 
-    /// The transfer sweep, generic over the lane width the dispatch tier
-    /// selected. Each full chunk of `L = V::LANES` rows is staged planar
-    /// (`planar[2j·L..]` holds input `j`'s re parts over the chunk, the
-    /// next `L` doubles its im parts), then every output accumulates
-    /// `acc + t_ij · x_j` over strictly ascending `j` from zero, a
-    /// register block of outputs at a time ([`cmul_splat_lhs`], then
-    /// element-wise adds). The remainder rows run the identical scalar
-    /// [`Complex64`] expression per output, so every row's result is
-    /// bitwise the same wherever it sits in the window.
+    /// The transfer sweep, generic over the lane width `V` the dispatch
+    /// tier selected. The rows run in full chunks of `V::LANES`, the rows
+    /// left over in chunks of [`F64x4`], and the last few one at a time as
+    /// [`F64x1`] (see [`CompiledLayer::transfer_span`]). Lane widths differ
+    /// only in register width, so every row's result is bitwise the same
+    /// wherever it sits in the window.
     #[inline(always)]
     fn transfer_rows<V: Lane<f64>>(
         &self,
@@ -1017,6 +1019,37 @@ impl CompiledLayer {
         rows: usize,
         planar: &mut [f64],
     ) {
+        let (m, n) = (self.m, self.n);
+        let mut done = self.transfer_span::<V>(src, output, rows, planar);
+        done += self.transfer_span::<F64x4>(
+            &src[done * n..],
+            &mut output[done * m..],
+            rows - done,
+            planar,
+        );
+        self.transfer_span::<F64x1>(
+            &src[done * n..],
+            &mut output[done * m..],
+            rows - done,
+            planar,
+        );
+    }
+
+    /// The full chunks of `L = V::LANES` rows among the first `rows` of
+    /// `src`; returns how many rows they cover. Each chunk is staged
+    /// planar (`planar[2j·L..]` holds input `j`'s re parts over the chunk,
+    /// the next `L` doubles its im parts), then every output accumulates
+    /// `acc + t_ij · x_j` over strictly ascending `j` from zero, a register
+    /// block of outputs at a time ([`cmul_splat_lhs`], then element-wise
+    /// adds): per lane, the scalar [`Complex64`] expression.
+    #[inline(always)]
+    fn transfer_span<V: Lane<f64>>(
+        &self,
+        src: &[Complex64],
+        output: &mut [Complex64],
+        rows: usize,
+        planar: &mut [f64],
+    ) -> usize {
         let (m, n, lanes) = (self.m, self.n, V::LANES);
         let planar = &mut planar[..2 * n * lanes];
         let full = rows - rows % lanes;
@@ -1040,16 +1073,7 @@ impl CompiledLayer {
                 _ => {}
             }
         }
-        let tail = output[full * m..rows * m].chunks_exact_mut(m);
-        for (y, x) in tail.zip(src[full * n..rows * n].chunks_exact(n)) {
-            y.fill(Complex64::ZERO);
-            for (j, &x) in x.iter().enumerate() {
-                for (i, acc) in y.iter_mut().enumerate() {
-                    let t = Complex64::new(self.t_re[i * n + j], self.t_im[i * n + j]);
-                    *acc += t * x;
-                }
-            }
-        }
+        full
     }
 
     /// Outputs `o..o + B` of one planar lane chunk: `B` accumulators live
@@ -1271,7 +1295,7 @@ mod tests {
     use crate::clements::decompose_clements;
     use crate::reck::decompose_reck;
     use crate::svd_map::MeshStyle;
-    use oplix_linalg::lanes::{F32x8, F64x4};
+    use oplix_linalg::lanes::F32x8;
     use oplix_linalg::CMatrix;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1330,8 +1354,8 @@ mod tests {
     }
 
     /// Every `n`-wide row of `rows` run on its own: through
-    /// [`CompiledLayer::forward_into`] at Golden, as a one-row window (all
-    /// scalar tail) at Transfer.
+    /// [`CompiledLayer::forward_into`] at Golden, as a one-row window (the
+    /// one-lane sweep alone) at Transfer.
     fn row_by_row(
         compiled: &CompiledLayer,
         fidelity: Fidelity,
@@ -1574,8 +1598,8 @@ mod tests {
     fn transfer_lane_sweep_is_bitwise_the_scalar_tail() {
         // Output counts covering every register-block remainder (m % 4 of
         // 0..=3) and input counts on both sides of one lane: every window
-        // up to two chunks of the widest tier plus a tail must be bitwise
-        // its rows run one at a time (pure scalar tail).
+        // up to two chunks of the widest tier plus leftover rows must be
+        // bitwise its rows run one at a time (the one-lane sweep alone).
         const WIDEST: usize = oplix_linalg::lanes::F64x8::LANES;
         for (m, n) in [(1usize, 3usize), (2, 9), (3, 26), (4, 4), (5, 11), (7, 2)] {
             let compiled = random_layer(m, n, MeshStyle::Clements, (m * 10 + n) as u64);
@@ -1590,6 +1614,71 @@ mod tests {
                     "{m}x{n} window {rows}"
                 );
             }
+        }
+    }
+
+    /// The strided scalar loop the Transfer sweep once ran its leftover
+    /// rows through, kept as the oracle every lane width is pinned to:
+    /// each output accumulates the scalar [`Complex64`] `acc + t_ij · x_j`
+    /// from zero over ascending `j`.
+    fn transfer_oracle(layer: &CompiledLayer, src: &[Complex64], rows: usize) -> Vec<Complex64> {
+        let (m, n) = (layer.m, layer.n);
+        let mut output = vec![Complex64::ZERO; rows * m];
+        for (y, x) in output.chunks_exact_mut(m).zip(src.chunks_exact(n)) {
+            for (j, &x) in x.iter().enumerate() {
+                for (i, acc) in y.iter_mut().enumerate() {
+                    let t = Complex64::new(layer.t_re[i * n + j], layer.t_im[i * n + j]);
+                    *acc += t * x;
+                }
+            }
+        }
+        output
+    }
+
+    /// A layer whose `m×n` transfer matrix is random. The Transfer sweep
+    /// reads nothing else, so no mesh has to be decomposed for it.
+    fn random_transfer(m: usize, n: usize, seed: u64) -> CompiledLayer {
+        let mut layer = random_layer(1, 1, MeshStyle::Clements, seed);
+        let t = random_fields(m * n, seed ^ 3);
+        (layer.m, layer.n) = (m, n);
+        layer.t_re = t.iter().map(|t| t.re).collect();
+        layer.t_im = t.iter().map(|t| t.im).collect();
+        layer
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Every window height up to three chunks of the widest tier plus
+        /// every remainder, every register-block remainder of `m`, fan-ins
+        /// on both sides of a lane chunk: the sweep with each lane width
+        /// as its widest, run directly and through the dispatched entry
+        /// point, writes bitwise the scalar oracle over stale output.
+        #[test]
+        fn transfer_sweep_is_bitwise_the_scalar_oracle(
+            rows in 0usize..=31,
+            m in 1usize..=9,
+            n in 1usize..=70,
+            seed in 0u64..u64::MAX,
+        ) {
+            let layer = random_transfer(m, n, seed);
+            let src = random_fields(rows * n, seed ^ 1);
+            let want = live_bits(&transfer_oracle(&layer, &src, rows), m, m);
+            let stale = vec![Complex64::new(f64::NAN, -0.0); rows * m];
+            let mut planar = vec![0.0; 2 * n * F64x8::LANES];
+            let sweeps: [(&str, fn(&CompiledLayer, &[Complex64], &mut [Complex64], usize, &mut [f64])); 3] = [
+                ("F64x8", CompiledLayer::transfer_rows::<F64x8>),
+                ("F64x4", CompiledLayer::transfer_rows::<F64x4>),
+                ("F64x1", CompiledLayer::transfer_rows::<F64x1>),
+            ];
+            for (width, sweep) in sweeps {
+                let mut out = stale.clone();
+                sweep(&layer, &src, &mut out, rows, &mut planar);
+                prop_assert_eq!(live_bits(&out, m, m), want.clone(), "{} {}x{} {} rows", width, m, n, rows);
+            }
+            let mut out = stale;
+            layer.transfer(&src, &mut out, rows);
+            prop_assert_eq!(live_bits(&out, m, m), want, "dispatched {}x{} {} rows", m, n, rows);
         }
     }
 

@@ -1,9 +1,10 @@
 //! Integration tests for the compiled compute-kernel layer: compiled
 //! mesh/layer kernels pinned bitwise against the interpreted walk on
 //! realistic (decomposition-produced) meshes, the transfer tier pinned
-//! bitwise against itself row by row, the transpose-free GEMM
-//! layouts pinned bitwise against transpose-then-multiply, and the
-//! persistent executor serving the sharded engine across worker counts.
+//! bitwise against itself row by row and its served logits pinned over
+//! every batch height, the transpose-free GEMM layouts pinned bitwise
+//! against transpose-then-multiply, and the persistent executor serving
+//! the sharded engine across worker counts.
 
 use oplix_linalg::{CMatrix, Complex64};
 use oplix_nn::ctensor::CTensor;
@@ -148,7 +149,7 @@ fn transfer_windows_are_bitwise_row_by_row() {
     // chunks of the widest lane tier (8) plus a tail, and at windows
     // around the golden walk's row tiles (315 rows at 3×26, 107 at 6×76):
     // each window must be bitwise its rows run as one-row windows, which
-    // take the scalar tail alone. Then one row is moved through every
+    // take the one-lane sweep alone. Then one row is moved through every
     // position of a window and must come out with the same bits.
     const LANES: usize = 8;
     let bits = |fields: &[Complex64]| -> Vec<(u64, u64)> {
@@ -342,4 +343,71 @@ fn sharded_engine_on_persistent_executor_is_bitwise_sequential() {
         pool::workers_alive() >= 1,
         "the sharded batches must have spun up persistent workers"
     );
+}
+
+/// FNV-1a over the bits of every logit, in row order.
+fn logit_hash(logits: &[Vec<f64>]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for v in logits.iter().flatten() {
+        for byte in v.to_bits().to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn transfer_logits_over_every_batch_height_are_pinned_bitwise() {
+    // The served FCNN shape (64→32→10, Merge) and a 7-stage LeNet body at
+    // Transfer, over batches of every height 1..=70 (every lane-chunk
+    // remainder, on both sides of one 64-row serve window), at 1 and 2
+    // workers. The hashes were recorded before leftover rows ran on
+    // narrower lanes and the engine sharded by whole lane chunks.
+    use oplixnet::zoo::{build_lenet, LenetConfig};
+    const MOST: usize = 70;
+    let mut rng = StdRng::seed_from_u64(24);
+    let fcnn = build_fcnn(
+        &FcnnConfig {
+            input: 64,
+            hidden: 32,
+            classes: 10,
+        },
+        ModelVariant::Split(DecoderKind::Merge),
+        &mut rng,
+    );
+    let fcnn =
+        InferenceEngine::from_network(&fcnn, DeployedDetection::Differential, MeshStyle::Clements)
+            .expect("FCNN deploys");
+    let cfg = LenetConfig::training_scale(2, 8, 10).halved();
+    let lenet = build_lenet(&cfg, ModelVariant::Split(DecoderKind::Merge), &mut rng);
+    let shape = [cfg.in_ch, cfg.input_h, cfg.input_w];
+    let lenet = InferenceEngine::from_network_shaped(
+        &lenet,
+        Some((shape[0], shape[1], shape[2])),
+        DeployedDetection::Differential,
+        MeshStyle::Clements,
+    )
+    .expect("LeNet deploys");
+    for (name, engine, sample, want) in [
+        ("FCNN", fcnn, vec![64usize], 0x7320_2137_be09_0225u64),
+        ("LeNet", lenet, shape.to_vec(), 0xfe6e_a810_1da6_4f0d),
+    ] {
+        let width: usize = sample.iter().product();
+        let re = Tensor::random_uniform(&[MOST * width], 1.0, &mut rng);
+        let im = Tensor::random_uniform(&[MOST * width], 1.0, &mut rng);
+        for workers in [1usize, 2] {
+            let mut engine = engine.clone().with_num_workers(workers);
+            let mut logits = Vec::new();
+            for rows in 1..=MOST {
+                let dims: Vec<usize> = std::iter::once(rows)
+                    .chain(sample.iter().copied())
+                    .collect();
+                let take =
+                    |t: &Tensor| Tensor::from_vec(&dims, t.as_slice()[..rows * width].to_vec());
+                let batch = CTensor::new(take(&re), take(&im));
+                logits.extend(engine.predict_batch(&batch).expect("predicts"));
+            }
+            assert_eq!(logit_hash(&logits), want, "{name} at {workers} workers");
+        }
+    }
 }
