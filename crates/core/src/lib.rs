@@ -133,6 +133,7 @@ pub mod deploy;
 pub mod engine;
 pub mod error;
 pub mod experiments;
+mod lane;
 pub mod pipeline;
 pub mod pool;
 pub mod router;

@@ -64,17 +64,14 @@
 
 use crate::engine::{Confidence, InferenceEngine};
 use crate::error::Error;
-use crate::serve::{
-    decide, relock, Control, Counters, EngineRack, Prediction, ServerStats, SwapTicket, Take,
-    VersionGate,
-};
+use crate::lane::{relock, Lane, Policy, Reply, Share};
+use crate::serve::{Prediction, ServerStats, SwapTicket};
 use oplix_linalg::Complex64;
 use oplix_nn::network::Network;
 use oplix_photonics::svd_map::MeshStyle;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::thread;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::deploy::DeployedDetection;
@@ -94,33 +91,15 @@ pub enum Priority {
     Batch,
 }
 
-/// The scheduling key of one queued entry: earliest deadline first
-/// (deadline-less entries sort after every deadline), then priority
-/// class, then admission order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The scheduling key of one queued entry, ordered field by field:
+/// earliest deadline first (`no_deadline` sorts deadline-less entries
+/// after every deadline), then priority class, then admission order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct EdfKey {
+    no_deadline: bool,
     deadline: Option<Instant>,
     priority: Priority,
     seq: u64,
-}
-
-impl Ord for EdfKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        match (self.deadline, other.deadline) {
-            (Some(a), Some(b)) => a.cmp(&b),
-            (Some(_), None) => std::cmp::Ordering::Less,
-            (None, Some(_)) => std::cmp::Ordering::Greater,
-            (None, None) => std::cmp::Ordering::Equal,
-        }
-        .then_with(|| self.priority.cmp(&other.priority))
-        .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for EdfKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 struct EdfEntry<T> {
@@ -208,6 +187,7 @@ impl<T> EdfQueue<T> {
         value: T,
     ) {
         let key = EdfKey {
+            no_deadline: deadline.is_none(),
             deadline,
             priority,
             seq: self.seq,
@@ -321,8 +301,7 @@ pub struct Served {
 /// metadata alongside the prediction.
 #[derive(Debug)]
 pub struct RouterTicket {
-    rx: mpsc::Receiver<Result<Served, Error>>,
-    done: Option<Result<Served, Error>>,
+    reply: Reply,
 }
 
 impl RouterTicket {
@@ -335,46 +314,16 @@ impl RouterTicket {
     /// [`Error::DeadlineExceeded`] if the deadline passed while queued,
     /// [`Error::NonFiniteLogits`] if the sample poisoned detection,
     /// [`Error::ServerClosed`] as above.
-    pub fn wait(mut self) -> Result<Served, Error> {
-        if let Some(done) = self.done.take() {
-            return done;
-        }
-        self.rx.recv().unwrap_or(Err(Error::ServerClosed))
+    pub fn wait(self) -> Result<Served, Error> {
+        self.reply.wait()
     }
 
     /// Non-blocking poll: `None` while queued or in flight,
     /// `Some(result)` once resolved (repeat calls return the same
     /// result).
     pub fn try_wait(&mut self) -> Option<Result<Served, Error>> {
-        if self.done.is_none() {
-            match self.rx.try_recv() {
-                Ok(done) => self.done = Some(done),
-                Err(mpsc::TryRecvError::Empty) => {}
-                Err(mpsc::TryRecvError::Disconnected) => self.done = Some(Err(Error::ServerClosed)),
-            }
-        }
-        self.done.clone()
+        self.reply.try_wait()
     }
-}
-
-/// One queued lane request (the router-side analogue of the serve
-/// module's `Request`, plus its scheduling key).
-struct LaneRequest {
-    fields: Vec<Complex64>,
-    reply: mpsc::Sender<Result<Served, Error>>,
-    enqueued_at: Instant,
-    deadline: Option<Instant>,
-    priority: Priority,
-    version: u64,
-}
-
-/// What flows through a lane queue: routed requests interleaved with
-/// version-change controls, exactly like the serve module's envelope.
-/// FIFO channel order + controls published under the lane gate's write
-/// lock = version order, so the batcher can retire engines safely.
-enum LaneEnvelope {
-    Request(LaneRequest),
-    Control(Control),
 }
 
 /// Per-lane weighted queue depths (`queued requests × optical weight`),
@@ -385,33 +334,33 @@ enum LaneEnvelope {
 /// per-lane `clamp(1, jobs)` let N idle-but-nonempty lanes claim N >
 /// jobs shards in aggregate).
 #[derive(Default)]
-struct FairShare {
+pub(crate) struct FairShare {
     lanes: Mutex<BTreeMap<u64, u64>>,
     next_id: AtomicU64,
 }
 
 impl FairShare {
     /// Adds a lane to the registry (weighted depth 0) and returns its id.
-    fn register(&self) -> u64 {
+    pub(crate) fn register(&self) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         relock(self.lanes.lock()).insert(id, 0);
         id
     }
 
     /// Removes a lane; its workers return to the splittable budget.
-    fn deregister(&self, id: u64) {
+    pub(crate) fn deregister(&self, id: u64) {
         relock(self.lanes.lock()).remove(&id);
     }
 
     /// One admission: the lane's weighted depth grows by its weight.
-    fn add(&self, id: u64, weight: u64) {
+    pub(crate) fn add(&self, id: u64, weight: u64) {
         if let Some(w) = relock(self.lanes.lock()).get_mut(&id) {
             *w += weight;
         }
     }
 
     /// One response: the admission's weight is handed back.
-    fn sub(&self, id: u64, weight: u64) {
+    pub(crate) fn sub(&self, id: u64, weight: u64) {
         if let Some(w) = relock(self.lanes.lock()).get_mut(&id) {
             *w = w.saturating_sub(weight);
         }
@@ -420,7 +369,7 @@ impl FairShare {
     /// Lane `id`'s share of the `jobs` budget under one consistent
     /// registry snapshot, floored at the one worker the lane itself is
     /// (a lane about to serve a batch always runs at least itself).
-    fn share_for(&self, id: u64, jobs: usize) -> usize {
+    pub(crate) fn share_for(&self, id: u64, jobs: usize) -> usize {
         let lanes = relock(self.lanes.lock());
         let idx = lanes.keys().position(|k| *k == id);
         let weights: Vec<u64> = lanes.values().copied().collect();
@@ -469,49 +418,15 @@ fn fair_shares(jobs: usize, weights: &[u64]) -> Vec<usize> {
     shares
 }
 
-/// The flush policy every lane inherits from its [`RouterBuilder`].
-#[derive(Clone, Copy)]
-struct LanePolicy {
-    max_batch: usize,
-    max_wait: Duration,
-    confidence: Option<Confidence>,
-}
-
-/// One registered model: its bounded queue, counters and batcher thread.
-struct Lane {
-    /// Admission side of the lane queue; taken (and dropped) on
-    /// shutdown/deregistration so the batcher's drain terminates.
-    tx: Mutex<Option<mpsc::SyncSender<LaneEnvelope>>>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    /// The lane's version barrier (see [`crate::serve`]): admissions
-    /// stamp + send under its read side, swaps publish under its write
-    /// side.
-    gate: Arc<VersionGate>,
-    deadline_missed: Arc<AtomicU64>,
-    input_dim: usize,
-    queue_cap: usize,
-    /// Scheduling weight: the deployment's optical stage count (deeper
-    /// meshes cost more per sample), floored at 1.
-    weight: u64,
-    /// This lane's slot in the router-wide [`FairShare`] registry.
-    fair_id: u64,
+/// One registered model: its lane (whose fair-share hook carries the
+/// model's registration id and scheduling weight) plus what its
+/// registration reports.
+struct Model {
+    lane: Lane,
+    /// The deployment's optical stage count; the lane's scheduling
+    /// weight is this, floored at 1.
     optical_stages: usize,
     cache_shared: bool,
-    handle: Mutex<Option<thread::JoinHandle<InferenceEngine>>>,
-}
-
-impl Lane {
-    /// Stops the lane, drains its queue and joins the batcher, handing
-    /// the engine back. Idempotent; `None` after the first call.
-    fn shutdown(&self) -> Option<InferenceEngine> {
-        self.stop.store(true, Ordering::SeqCst);
-        drop(relock(self.tx.lock()).take());
-        self.counters.bell.ring();
-        relock(self.handle.lock())
-            .take()
-            .map(|h| h.join().expect("router lane batcher panicked"))
-    }
 }
 
 /// Everything the router handle and its clients share.
@@ -519,108 +434,67 @@ struct RouterCore {
     // Name-ordered, so every walk over the lane table — stats snapshots,
     // shutdown drains — is deterministic by construction (the
     // determinism-hazards lint forbids hash iteration on serving paths).
-    lanes: RwLock<BTreeMap<String, Arc<Lane>>>,
-    policy: LanePolicy,
+    lanes: RwLock<BTreeMap<String, Arc<Model>>>,
+    policy: Policy,
     queue_cap: usize,
     closed: AtomicBool,
     fair: Arc<FairShare>,
 }
 
 impl RouterCore {
+    /// The registered model `name`.
+    fn model(&self, name: &str) -> Result<Arc<Model>, Error> {
+        relock(self.lanes.read())
+            .get(name)
+            .cloned()
+            .ok_or_else(|| Error::UnknownModel {
+                model: name.to_string(),
+            })
+    }
+
     fn submit_inner(&self, req: RouterRequest, blocking: bool) -> Result<RouterTicket, Error> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(Error::ServerClosed);
         }
-        let lane = relock(self.lanes.read())
-            .get(&req.model)
-            .cloned()
-            .ok_or(Error::UnknownModel { model: req.model })?;
-        if req.fields.len() != lane.input_dim {
-            return Err(Error::ShapeMismatch {
-                expected: lane.input_dim,
-                got: req.fields.len(),
-                what: "sample width",
-            });
-        }
-        let now = Instant::now();
+        let model = self.model(&req.model)?;
+        let lane = &model.lane;
+        lane.check_width(req.fields.len(), "sample width")?;
         if let Some(deadline) = req.deadline {
+            let now = Instant::now();
             if now >= deadline {
                 // Refuse before the request costs a queue slot: a result
                 // nobody can use should not spend mesh cycles.
-                lane.deadline_missed.fetch_add(1, Ordering::Relaxed);
+                lane.counters
+                    .deadline_missed
+                    .fetch_add(1, Ordering::Relaxed);
                 return Err(Error::DeadlineExceeded {
                     missed_by: now - deadline,
                 });
             }
         }
-        let tx = relock(lane.tx.lock()).clone().ok_or(Error::ServerClosed)?;
-        let (reply, rx) = mpsc::channel();
-        let fields = req.fields;
-        // Count the request in before the send: once queued, the lane may
-        // answer it, and hand both counts back, before this thread resumes.
-        lane.counters.reserve();
-        self.fair.add(lane.fair_id, lane.weight);
-        // Stamp + send under the lane gate's read side, so no swap
-        // barrier can land between the version stamp and the queue send.
-        let sent = lane.gate.admit(|version| {
-            let request = LaneEnvelope::Request(LaneRequest {
-                fields,
-                reply,
-                enqueued_at: now,
-                deadline: req.deadline,
-                priority: req.priority,
-                version,
-            });
-            if blocking {
-                tx.send(request).map_err(|_| Error::ServerClosed)
-            } else {
-                tx.try_send(request).map_err(|e| match e {
-                    mpsc::TrySendError::Full(_) => Error::QueueFull {
-                        capacity: lane.queue_cap,
-                    },
-                    mpsc::TrySendError::Disconnected(_) => Error::ServerClosed,
-                })
-            }
-        });
-        match sent {
-            Ok(_) => {
-                // A deadline sooner than one window from now may fall
-                // inside the lane's coalescing window, whose EDF cut must
-                // not wait for the window to close.
-                let urgent = req
-                    .deadline
-                    .is_some_and(|d| d <= Instant::now() + self.policy.max_wait);
-                lane.counters.admitted(urgent);
-                Ok(RouterTicket { rx, done: None })
-            }
-            Err(e) => {
-                lane.counters.unreserve();
-                self.fair.sub(lane.fair_id, lane.weight);
-                if matches!(e, Error::QueueFull { .. }) {
-                    lane.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
-        }
+        let tx = lane.sender()?;
+        let (_, reply) = lane.admit(&tx, req.fields, None, req.deadline, req.priority, blocking)?;
+        Ok(RouterTicket { reply })
     }
 
     fn stats(&self) -> RouterStats {
         let lanes = relock(self.lanes.read());
         let mut models = BTreeMap::new();
         let mut shared = 0;
-        for (name, lane) in lanes.iter() {
-            if lane.cache_shared {
+        for (name, model) in lanes.iter() {
+            if model.cache_shared {
                 shared += 1;
             }
+            let counters = &model.lane.counters;
             models.insert(
                 name.clone(),
                 ModelStats {
-                    serve: lane.counters.snapshot(lane.gate.version()),
-                    deadline_missed: lane.deadline_missed.load(Ordering::Relaxed),
-                    wait_p50: lane.counters.waits.quantile(0.5),
-                    wait_p99: lane.counters.waits.quantile(0.99),
-                    cache_shared: lane.cache_shared,
-                    optical_stages: lane.optical_stages,
+                    serve: model.lane.stats(),
+                    deadline_missed: counters.deadline_missed.load(Ordering::Relaxed),
+                    wait_p50: counters.waits.quantile(0.5),
+                    wait_p99: counters.waits.quantile(0.99),
+                    cache_shared: model.cache_shared,
+                    optical_stages: model.optical_stages,
                 },
             );
         }
@@ -632,7 +506,7 @@ impl RouterCore {
 
     fn shutdown_all(&self) -> Vec<(String, InferenceEngine)> {
         self.closed.store(true, Ordering::SeqCst);
-        let lanes: Vec<(String, Arc<Lane>)> = {
+        let lanes: Vec<(String, Arc<Model>)> = {
             let mut map = relock(self.lanes.write());
             // BTreeMap iteration is already name-ordered; no sort needed
             // for a deterministic shutdown sequence.
@@ -640,7 +514,7 @@ impl RouterCore {
         };
         lanes
             .into_iter()
-            .filter_map(|(name, lane)| lane.shutdown().map(|engine| (name, engine)))
+            .filter_map(|(name, model)| model.lane.shutdown().map(|engine| (name, engine)))
             .collect()
     }
 }
@@ -683,19 +557,15 @@ pub struct RouterStats {
 /// flush policy applies to every lane the router registers.
 #[derive(Clone, Copy, Debug)]
 pub struct RouterBuilder {
-    max_batch: usize,
-    max_wait: Duration,
+    policy: Policy,
     queue_cap: usize,
-    confidence: Option<Confidence>,
 }
 
 impl Default for RouterBuilder {
     fn default() -> Self {
         RouterBuilder {
-            max_batch: 64,
-            max_wait: Duration::from_millis(1),
+            policy: Policy::default(),
             queue_cap: 1024,
-            confidence: None,
         }
     }
 }
@@ -704,7 +574,7 @@ impl RouterBuilder {
     /// Flush a lane's micro-batch at this many samples (clamped to ≥ 1;
     /// default 64).
     pub fn max_batch(mut self, n: usize) -> Self {
-        self.max_batch = n.max(1);
+        self.policy.max_batch = n.max(1);
         self
     }
 
@@ -712,7 +582,7 @@ impl RouterBuilder {
     /// (default 1 ms; clamped to ≤ 1 h). A queued deadline that would
     /// expire sooner cuts the window short.
     pub fn max_wait(mut self, d: Duration) -> Self {
-        self.max_wait = d.min(Duration::from_secs(3600));
+        self.policy.max_wait = d.min(Duration::from_secs(3600));
         self
     }
 
@@ -725,7 +595,7 @@ impl RouterBuilder {
 
     /// Installs an abstention [`Confidence`] policy on every lane.
     pub fn confidence(mut self, c: Confidence) -> Self {
-        self.confidence = Some(c);
+        self.policy.confidence = Some(c);
         self
     }
 
@@ -734,11 +604,7 @@ impl RouterBuilder {
         Router {
             core: Arc::new(RouterCore {
                 lanes: RwLock::new(BTreeMap::new()),
-                policy: LanePolicy {
-                    max_batch: self.max_batch,
-                    max_wait: self.max_wait,
-                    confidence: self.confidence,
-                },
+                policy: self.policy,
                 queue_cap: self.queue_cap,
                 closed: AtomicBool::new(false),
                 fair: Arc::new(FairShare::default()),
@@ -810,12 +676,7 @@ impl Router {
         detection: DeployedDetection,
         style: MeshStyle,
     ) -> Result<(), Error> {
-        let (hits0, miss0) = crate::deploy::thread_cache_counts();
-        let engine = InferenceEngine::from_network(net, detection, style)?;
-        let (hits1, miss1) = crate::deploy::thread_cache_counts();
-        // Fully cache-served deployment: at least one hit and zero
-        // misses on this thread during the deploy.
-        self.register_with(name.into(), engine, miss1 == miss0 && hits1 > hits0)
+        self.register_shaped(name, net, None, detection, style)
     }
 
     /// [`Router::register`] for CNN bodies that need an explicit input
@@ -835,6 +696,8 @@ impl Router {
         let (hits0, miss0) = crate::deploy::thread_cache_counts();
         let engine = InferenceEngine::from_network_shaped(net, input_shape, detection, style)?;
         let (hits1, miss1) = crate::deploy::thread_cache_counts();
+        // Fully cache-served deployment: at least one hit and zero
+        // misses on this thread during the deploy.
         self.register_with(name.into(), engine, miss1 == miss0 && hits1 > hits0)
     }
 
@@ -867,55 +730,26 @@ impl Router {
         if lanes.contains_key(&name) {
             return Err(Error::DuplicateModel { model: name });
         }
-        let input_dim = engine.input_dim();
         let optical_stages = engine.deployed().num_optical_stages();
-        let weight = optical_stages.max(1) as u64;
-        let fair_id = core.fair.register();
-        let (tx, rx) = mpsc::sync_channel::<LaneEnvelope>(core.queue_cap);
-        let stop = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::new(core.policy.max_batch));
-        let gate = Arc::new(VersionGate::new());
-        let deadline_missed = Arc::new(AtomicU64::new(0));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            let deadline_missed = Arc::clone(&deadline_missed);
-            let fair = Arc::clone(&core.fair);
-            let policy = core.policy;
-            thread::Builder::new()
-                .name(format!("oplix-route-{name}"))
-                .spawn(move || {
-                    lane_batcher(
-                        engine,
-                        rx,
-                        policy,
-                        stop,
-                        counters,
-                        deadline_missed,
-                        fair,
-                        fair_id,
-                        weight,
-                    )
-                })
-                .expect("failed to spawn a router lane batcher thread")
+        let share = Share {
+            registry: Arc::clone(&core.fair),
+            id: core.fair.register(),
+            weight: optical_stages.max(1) as u64,
         };
-        lanes.insert(
-            name,
-            Arc::new(Lane {
-                tx: Mutex::new(Some(tx)),
-                stop,
-                counters,
-                gate,
-                deadline_missed,
-                input_dim,
-                queue_cap: core.queue_cap,
-                weight,
-                fair_id,
-                optical_stages,
-                cache_shared,
-                handle: Mutex::new(Some(handle)),
-            }),
+        let lane = Lane::spawn(
+            format!("oplix-route-{name}"),
+            engine,
+            core.policy,
+            core.queue_cap,
+            None,
+            Some(share),
         );
+        let model = Model {
+            lane,
+            optical_stages,
+            cache_shared,
+        };
+        lanes.insert(name, Arc::new(model));
         Ok(())
     }
 
@@ -957,34 +791,7 @@ impl Router {
         name: &str,
         engine: InferenceEngine,
     ) -> Result<SwapTicket, Error> {
-        let lane = relock(self.core.lanes.read())
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::UnknownModel {
-                model: name.to_string(),
-            })?;
-        if engine.input_dim() != lane.input_dim {
-            return Err(Error::ShapeMismatch {
-                expected: lane.input_dim,
-                got: engine.input_dim(),
-                what: "candidate input width",
-            });
-        }
-        let tx = relock(lane.tx.lock()).clone().ok_or(Error::ServerClosed)?;
-        let (reply, rx) = mpsc::channel();
-        lane.gate.barrier(|state| {
-            let version = state.current + 1;
-            tx.send(LaneEnvelope::Control(Control::Swap {
-                engine: Box::new(engine),
-                version,
-                reply,
-            }))
-            .map_err(|_| Error::ServerClosed)?;
-            state.current = version;
-            Ok(())
-        })?;
-        lane.counters.bell.ring();
-        Ok(SwapTicket { rx })
+        self.core.model(name)?.lane.swap(engine)
     }
 
     /// Deregisters `name`: admission to the lane closes, every queued
@@ -1002,7 +809,7 @@ impl Router {
     ///
     /// [`Error::UnknownModel`] if `name` is not registered.
     pub fn deregister(&self, name: &str) -> Result<InferenceEngine, Error> {
-        let lane = relock(self.core.lanes.write())
+        let model = relock(self.core.lanes.write())
             .remove(name)
             .ok_or_else(|| Error::UnknownModel {
                 model: name.to_string(),
@@ -1010,7 +817,7 @@ impl Router {
         // A lane still in the table has never been shut down (shutdown_all
         // empties the table first), so this is reachable only if that
         // invariant breaks — degrade to the typed error rather than panic.
-        lane.shutdown().ok_or(Error::ServerClosed)
+        model.lane.shutdown().ok_or(Error::ServerClosed)
     }
 
     /// The registered model names, sorted.
@@ -1021,9 +828,7 @@ impl Router {
 
     /// The sample width model `name` expects, if registered.
     pub fn input_dim(&self, name: &str) -> Option<usize> {
-        relock(self.core.lanes.read())
-            .get(name)
-            .map(|l| l.input_dim)
+        self.core.model(name).ok().map(|m| m.lane.input_dim)
     }
 
     /// A new cloneable client handle for submitting routed requests.
@@ -1109,9 +914,7 @@ impl RouterClient {
 
     /// The sample width model `name` expects, if registered.
     pub fn input_dim(&self, name: &str) -> Option<usize> {
-        relock(self.core.lanes.read())
-            .get(name)
-            .map(|l| l.input_dim)
+        self.core.model(name).ok().map(|m| m.lane.input_dim)
     }
 }
 
@@ -1121,300 +924,17 @@ impl std::fmt::Debug for RouterClient {
     }
 }
 
-/// Pops one flush batch off `pending` in EDF order: up to `max_batch`
-/// live entries, plus every popped entry whose deadline is already past
-/// `now` (returned separately for rejection — expired entries do not
-/// occupy batch slots). Pure, so flush-time expiry is unit-testable
-/// without real timing.
-#[allow(clippy::type_complexity)]
-fn take_flush_batch(
-    pending: &mut EdfQueue<LaneRequest>,
-    max_batch: usize,
-    now: Instant,
-) -> (Vec<EdfItem<LaneRequest>>, Vec<(LaneRequest, Duration)>) {
-    let mut batch = Vec::new();
-    let mut expired = Vec::new();
-    while batch.len() < max_batch {
-        let Some(item) = pending.pop() else { break };
-        match item.deadline {
-            Some(deadline) if deadline <= now => {
-                expired.push((item.value, now - deadline));
-            }
-            _ => batch.push(item),
-        }
-    }
-    (batch, expired)
-}
-
-/// Counts and replies one lane response (the router-side analogue of the
-/// serve module's `respond`, plus the fair-share bookkeeping).
-fn lane_respond(
-    counters: &Counters,
-    fair: &FairShare,
-    fair_id: u64,
-    weight: u64,
-    request: &LaneRequest,
-    outcome: Result<Served, Error>,
-) {
-    counters.served.fetch_add(1, Ordering::Relaxed);
-    counters.depth.fetch_sub(1, Ordering::Relaxed);
-    fair.sub(fair_id, weight);
-    if matches!(
-        outcome,
-        Ok(Served {
-            prediction: Prediction::Abstain { .. },
-            ..
-        })
-    ) {
-        counters.abstained.fetch_add(1, Ordering::Relaxed);
-    }
-    // A dropped ticket just means nobody is listening; serving continues.
-    let _ = request.reply.send(outcome);
-}
-
-/// Serves one popped EDF flush batch through the lane's rack, grouped by
-/// stamped version so every request is served by exactly the engine it
-/// was admitted under (single-version in steady state; split around a
-/// swap boundary).
-#[allow(clippy::too_many_arguments)]
-fn lane_serve_batch(
-    rack: &mut EngineRack,
-    policy: &LanePolicy,
-    batch: Vec<EdfItem<LaneRequest>>,
-    rows: &mut Vec<Complex64>,
-    counters: &Counters,
-    fair: &FairShare,
-    fair_id: u64,
-    weight: u64,
-    flush_seq: u64,
-    now: Instant,
-    share: usize,
-) {
-    let mut batch = batch;
-    while !batch.is_empty() {
-        let version = batch[0].value.version;
-        let (group, rest): (Vec<_>, Vec<_>) = batch
-            .into_iter()
-            .partition(|item| item.value.version == version);
-        batch = rest;
-        counters.batches.fetch_add(1, Ordering::Relaxed);
-        counters
-            .batch_fill
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
-        rows.clear();
-        let mut waits = Vec::with_capacity(group.len());
-        for item in &group {
-            let waited = now.saturating_duration_since(item.value.enqueued_at);
-            counters.waits.record(waited);
-            waits.push(waited);
-            rows.extend_from_slice(&item.value.fields);
-        }
-        let confidence = rack.confidence(policy.confidence);
-        let Some(engine) = rack.engine_for(version) else {
-            // Unreachable by construction (every stamped version has a
-            // rack slot until its last ticket resolves), but never
-            // strand a ticket.
-            for item in &group {
-                lane_respond(
-                    counters,
-                    fair,
-                    fair_id,
-                    weight,
-                    &item.value,
-                    Err(Error::ServerClosed),
-                );
-            }
-            continue;
-        };
-        if engine.num_workers() != share {
-            engine.set_num_workers(share);
-        }
-        let emit = move |logits: &[f64]| decide(confidence, logits);
-        match engine.serve_rows(rows, &emit) {
-            Ok(predictions) => {
-                for ((item, prediction), waited) in group.iter().zip(predictions).zip(waits) {
-                    lane_respond(
-                        counters,
-                        fair,
-                        fair_id,
-                        weight,
-                        &item.value,
-                        Ok(Served {
-                            prediction,
-                            flush_seq,
-                            waited,
-                            version,
-                        }),
-                    );
-                }
-            }
-            Err(_) => {
-                // Isolate the poisoned sample(s), like the single-model
-                // batcher: serve each request on its own.
-                for (item, waited) in group.iter().zip(waits) {
-                    let outcome = engine
-                        .serve_rows(&item.value.fields, &emit)
-                        .map(|mut v| v.remove(0))
-                        .map(|prediction| Served {
-                            prediction,
-                            flush_seq,
-                            waited,
-                            version,
-                        });
-                    lane_respond(counters, fair, fair_id, weight, &item.value, outcome);
-                }
-            }
-        }
-    }
-}
-
-/// The lane batcher thread body: coalesce into an [`EdfQueue`], flush on
-/// `max_batch` / `max_wait` / an imminent deadline, serve in EDF order
-/// through the lane's rack with a fair-share worker count. Swap controls
-/// ride the same channel as requests; when one arrives, everything
-/// admitted before it is flushed first (the micro-batch boundary the
-/// swap is atomic at), then the control applies — or, if the lane began
-/// draining, the swap aborts and its replacement is handed back at exit.
-/// On shutdown, drain to empty so no admitted ticket is lost.
-#[allow(clippy::too_many_arguments)]
-fn lane_batcher(
-    engine: InferenceEngine,
-    rx: mpsc::Receiver<LaneEnvelope>,
-    policy: LanePolicy,
-    stop: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    deadline_missed: Arc<AtomicU64>,
-    fair: Arc<FairShare>,
-    fair_id: u64,
-    weight: u64,
-) -> InferenceEngine {
-    // Lane batchers are resident service threads, like the single-model
-    // server's: claim one slot of the shared worker budget.
-    let _slot = crate::pool::reserve_service_slot();
-    let mut rack = EngineRack::new(engine);
-    let mut pending: EdfQueue<LaneRequest> = EdfQueue::new();
-    let mut rows: Vec<Complex64> = Vec::new();
-    let mut flush_seq: u64 = 0;
-    let (bell, wakes) = (&counters.bell, &counters.wakes);
-    loop {
-        let mut control: Option<Control> = None;
-        if pending.is_empty() {
-            // Sleep, with no timeout, for the first envelope of the next
-            // batch. Draining: serve whatever is still queued, then exit.
-            let Some(first) = bell.first(&rx, &stop, wakes) else {
-                break;
-            };
-            match first {
-                LaneEnvelope::Request(r) => {
-                    let arrived = r.enqueued_at;
-                    pending.push(r.deadline, r.priority, arrived, r);
-                }
-                LaneEnvelope::Control(c) => control = Some(c),
-            }
-        }
-
-        // Coalesce until the batch fills, the oldest request's window
-        // closes, a queued deadline would expire inside the window — an
-        // imminent deadline cuts the window short — or a swap control
-        // arrives. Between drains the lane sleeps on the doorbell, like
-        // the single-model batcher; a full batch, an in-window deadline,
-        // a control message or shutdown rings it sooner.
-        if let Some(oldest) = pending.oldest_arrival().filter(|_| control.is_none()) {
-            let window_end = oldest + policy.max_wait;
-            'coalesce: loop {
-                // Drain the whole backlog, not just enough to fill one
-                // batch: flush membership must be decided by the EDF
-                // queue, not by arrival order. A request left in the
-                // channel is invisible to `take_flush_batch` and would
-                // make batch composition FIFO.
-                loop {
-                    match rx.try_recv() {
-                        Ok(LaneEnvelope::Request(r)) => {
-                            let arrived = r.enqueued_at;
-                            pending.push(r.deadline, r.priority, arrived, r);
-                        }
-                        Ok(LaneEnvelope::Control(c)) => {
-                            control = Some(c);
-                            break 'coalesce;
-                        }
-                        Err(_) => break,
-                    }
-                }
-                if pending.len() >= policy.max_batch
-                    || stop.load(Ordering::SeqCst)
-                    || Instant::now() >= window_end
-                    || pending.earliest_deadline().is_some_and(|d| d <= window_end)
-                {
-                    break;
-                }
-                match bell.take(&rx, Some(window_end), &stop, wakes) {
-                    Take::Got(LaneEnvelope::Request(r)) => {
-                        let arrived = r.enqueued_at;
-                        pending.push(r.deadline, r.priority, arrived, r);
-                    }
-                    Take::Got(LaneEnvelope::Control(c)) => {
-                        control = Some(c);
-                        break;
-                    }
-                    Take::Slept => {}
-                    Take::Closed => break,
-                }
-            }
-        }
-
-        // Flush: pop in EDF order, reject what already expired, serve
-        // the rest with this lane's fair share of the worker budget.
-        // With a control in hand, flush *everything* admitted before it
-        // (possibly several batches) — the FIFO channel guarantees every
-        // old-version request precedes the control, so after this loop
-        // no request still needs the engine the control may retire.
-        loop {
-            let now = Instant::now();
-            let (batch, expired) = take_flush_batch(&mut pending, policy.max_batch, now);
-            for (request, missed_by) in expired {
-                deadline_missed.fetch_add(1, Ordering::Relaxed);
-                counters.waits.record(now - request.enqueued_at);
-                lane_respond(
-                    &counters,
-                    &fair,
-                    fair_id,
-                    weight,
-                    &request,
-                    Err(Error::DeadlineExceeded { missed_by }),
-                );
-            }
-            // A flush in which *every* popped request had expired leaves
-            // an empty batch: skip it entirely — no `batches` increment,
-            // no zero-sample engine call, no flush sequence number spent.
-            if !batch.is_empty() {
-                flush_seq += 1;
-                let share = fair.share_for(fair_id, crate::pool::jobs());
-                lane_serve_batch(
-                    &mut rack, &policy, batch, &mut rows, &counters, &fair, fair_id, weight,
-                    flush_seq, now, share,
-                );
-                counters.publish_stages(rack.stage_stats());
-            }
-            if control.is_none() || pending.is_empty() {
-                break;
-            }
-        }
-        if let Some(c) = control {
-            rack.apply(c, stop.load(Ordering::SeqCst), &counters);
-        }
-    }
-    fair.deregister(fair_id);
-    rack.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lane::{take_flush_batch, Request};
+    use std::sync::mpsc;
 
-    fn lane_request(deadline: Option<Instant>) -> LaneRequest {
+    fn lane_request(deadline: Option<Instant>) -> Request {
         let (reply, _rx) = mpsc::channel();
-        LaneRequest {
+        Request {
             fields: Vec::new(),
+            label: None,
             reply,
             enqueued_at: Instant::now(),
             deadline,
@@ -1586,7 +1106,7 @@ mod tests {
             .expect("admits");
         ticket.wait().expect("serves");
         let lane = relock(router.core.lanes.read())["m"].clone();
-        let wakes = lane.counters.wakes.load(Ordering::Relaxed);
+        let wakes = lane.lane.counters.wakes.load(Ordering::Relaxed);
         assert!(wakes <= 8, "one lone request woke the lane {wakes} times");
     }
 }

@@ -22,6 +22,7 @@ pub const KERNEL_CRATES: &[&str] = &["linalg", "photonics"];
 /// collection can leak into outputs or stats. Keyed lookup is fine;
 /// iteration needs an ordered collection or a reasoned `allow`.
 pub const ORDER_SENSITIVE_PATHS: &[&str] = &[
+    "crates/core/src/lane.rs",
     "crates/core/src/serve.rs",
     "crates/core/src/router.rs",
     "crates/core/src/deploy.rs",
