@@ -69,7 +69,8 @@ use crate::serve::{Prediction, ServerStats, SwapTicket};
 use oplix_linalg::Complex64;
 use oplix_nn::network::Network;
 use oplix_photonics::svd_map::MeshStyle;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -140,9 +141,14 @@ pub struct EdfItem<T> {
 
 /// An earliest-deadline-first priority queue: entries pop ordered by
 /// deadline (entries without one sort last), then [`Priority`], then
-/// push order. This is the pending set of every router lane; it is
+/// push order. This is the pending set of every serving lane; it is
 /// public so schedulers and property tests can exercise the ordering
 /// directly.
+///
+/// Entries pushed in scheduling order — the common case: one priority
+/// class, and deadlines that grow with arrival or none at all — queue and
+/// pop in O(1) without sifting; only an entry that overtakes the last one
+/// pushed goes through the binary heap.
 ///
 /// ```
 /// use oplixnet::router::{EdfQueue, Priority};
@@ -159,7 +165,10 @@ pub struct EdfItem<T> {
 /// assert_eq!(order, ["tight", "loose", "interactive", "no deadline"]);
 /// ```
 pub struct EdfQueue<T> {
-    heap: BinaryHeap<std::cmp::Reverse<EdfEntry<T>>>,
+    /// Entries pushed in scheduling order, ascending by key.
+    run: VecDeque<EdfEntry<T>>,
+    /// Every entry pushed out of order.
+    heap: BinaryHeap<Reverse<EdfEntry<T>>>,
     seq: u64,
 }
 
@@ -173,6 +182,7 @@ impl<T> EdfQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         EdfQueue {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             seq: 0,
         }
@@ -193,16 +203,35 @@ impl<T> EdfQueue<T> {
             seq: self.seq,
         };
         self.seq += 1;
-        self.heap.push(std::cmp::Reverse(EdfEntry {
+        let entry = EdfEntry {
             key,
             arrived,
             value,
-        }));
+        };
+        if self.run.back().is_none_or(|last| last.key < key) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
+    }
+
+    /// Whether the scheduling-first entry heads the in-order run rather
+    /// than the heap (`None` when the queue is empty).
+    fn head_in_run(&self) -> Option<bool> {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(a), Some(Reverse(b))) => Some(a.key < b.key),
+            (a, b) => a.map(|_| true).or(b.map(|_| false)),
+        }
     }
 
     /// Pops the scheduling-first entry, if any.
     pub fn pop(&mut self) -> Option<EdfItem<T>> {
-        self.heap.pop().map(|std::cmp::Reverse(e)| EdfItem {
+        let e = if self.head_in_run()? {
+            self.run.pop_front()?
+        } else {
+            self.heap.pop()?.0
+        };
+        Some(EdfItem {
             deadline: e.key.deadline,
             priority: e.key.priority,
             arrived: e.arrived,
@@ -212,27 +241,31 @@ impl<T> EdfQueue<T> {
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     /// The earliest deadline among queued entries (`None` if no entry
     /// carries one). O(1): it is the head's deadline unless the head is
     /// deadline-less, in which case nothing has one.
     pub fn earliest_deadline(&self) -> Option<Instant> {
-        self.heap
-            .peek()
-            .and_then(|std::cmp::Reverse(e)| e.key.deadline)
+        let head = if self.head_in_run()? {
+            self.run.front()
+        } else {
+            self.heap.peek().map(|Reverse(e)| e)
+        };
+        head.and_then(|e| e.key.deadline)
     }
 
     /// The earliest arrival among queued entries — what anchors the
     /// `max_wait` flush window. O(n).
     pub fn oldest_arrival(&self) -> Option<Instant> {
-        self.heap.iter().map(|std::cmp::Reverse(e)| e.arrived).min()
+        let heap = self.heap.iter().map(|Reverse(e)| e);
+        self.run.iter().chain(heap).map(|e| e.arrived).min()
     }
 }
 
@@ -981,6 +1014,50 @@ mod tests {
         );
         assert_eq!(q.earliest_deadline(), Some(now + Duration::from_secs(30)));
         assert_eq!(q.oldest_arrival(), Some(now));
+    }
+
+    #[test]
+    fn edf_queue_pops_like_a_sorted_reference_in_and_out_of_order() {
+        // Runs of in-order pushes (ascending deadlines, one class) mixed
+        // with entries that overtake them, interleaved with pops: the
+        // in-order run and the heap must together pop exactly what a
+        // sorted reference pops, and agree on the head's deadline and the
+        // oldest arrival.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let now = Instant::now();
+        let mut rng = StdRng::seed_from_u64(110_100);
+        let mut q = EdfQueue::new();
+        let mut reference: Vec<(bool, Option<Instant>, Priority, u64, Instant)> = Vec::new();
+        let priorities = [Priority::Interactive, Priority::Standard, Priority::Batch];
+        for step in 0..4000u64 {
+            if rng.gen_range(0..3) == 0 {
+                let popped = q.pop().map(|e| (e.deadline, e.priority, e.value));
+                let want = reference.first().map(|r| (r.1, r.2, r.3));
+                assert_eq!(popped, want, "step {step}");
+                if !reference.is_empty() {
+                    reference.remove(0);
+                }
+            } else {
+                let in_order = rng.gen_range(0..4) != 0;
+                let deadline = match rng.gen_range(0..4) {
+                    0 => None,
+                    _ if in_order => Some(now + Duration::from_micros(step)),
+                    _ => Some(now + Duration::from_micros(rng.gen_range(0..step + 1))),
+                };
+                let priority = if in_order {
+                    Priority::Standard
+                } else {
+                    priorities[rng.gen_range(0..3)]
+                };
+                let arrived = now + Duration::from_nanos(rng.gen_range(0..1000));
+                q.push(deadline, priority, arrived, step);
+                reference.push((deadline.is_none(), deadline, priority, step, arrived));
+                reference.sort();
+            }
+            assert_eq!(q.len(), reference.len());
+            assert_eq!(q.earliest_deadline(), reference.first().and_then(|r| r.1));
+            assert_eq!(q.oldest_arrival(), reference.iter().map(|r| r.4).min());
+        }
     }
 
     #[test]
