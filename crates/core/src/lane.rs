@@ -96,22 +96,19 @@ pub(crate) enum Control {
         confidence: Option<Confidence>,
         tallies: Arc<CanaryCounters>,
     },
-    /// Retire the baseline and make the canary candidate current.
-    Promote {
-        reply: mpsc::Sender<Result<SwapOutcome, Error>>,
-    },
-    /// Discard the canary candidate; the baseline keeps the lane.
-    Rollback {
+    /// End the canary run: make the candidate current (`promote`) or
+    /// discard it, leaving the baseline the lane.
+    Settle {
+        promote: bool,
         reply: mpsc::Sender<Result<SwapOutcome, Error>>,
     },
 }
 
 /// The live canary split, as the admission side sees it.
 pub(crate) struct CanarySplit {
-    pub(crate) version: u64,
-    pub(crate) fraction: f64,
+    /// Admissions drawn so far: the index of the next draw.
     pub(crate) drawn: AtomicU64,
-    pub(crate) seed: u64,
+    /// The run's split parameters, candidate version and tallies.
     pub(crate) tallies: Arc<CanaryCounters>,
 }
 
@@ -172,8 +169,8 @@ impl VersionGate {
         let version = match &state.canary {
             Some(c) => {
                 let n = c.drawn.fetch_add(1, Ordering::Relaxed);
-                if split_unit(c.seed, n) < c.fraction {
-                    c.version
+                if split_unit(c.tallies.seed, n) < c.tallies.fraction {
+                    c.tallies.candidate.version
                 } else {
                     state.current
                 }
@@ -203,8 +200,9 @@ impl VersionGate {
 }
 
 /// One version's atomic tally slots during a canary.
+#[derive(Default)]
 pub(crate) struct VersionTallyCounters {
-    version: u64,
+    pub(crate) version: u64,
     routed: AtomicU64,
     served: AtomicU64,
     accepted: AtomicU64,
@@ -217,12 +215,7 @@ impl VersionTallyCounters {
     fn new(version: u64) -> Self {
         VersionTallyCounters {
             version,
-            routed: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            abstained: AtomicU64::new(0),
-            labeled: AtomicU64::new(0),
-            correct: AtomicU64::new(0),
+            ..Default::default()
         }
     }
 
@@ -245,7 +238,7 @@ pub(crate) struct CanaryCounters {
     fraction: f64,
     seed: u64,
     baseline: VersionTallyCounters,
-    candidate: VersionTallyCounters,
+    pub(crate) candidate: VersionTallyCounters,
 }
 
 impl CanaryCounters {
@@ -282,10 +275,9 @@ impl CanaryCounters {
 /// (admission → flush) lands in the bucket of its nanosecond count's bit
 /// length, so the whole distribution is a fixed array of relaxed atomic
 /// counters — recordable from the batcher's hot path without locks, and
-/// cheap enough that the single-model [`Server`] and every router lane
-/// carry one. Quantiles come back as the upper bound of the bucket the
-/// cumulative count crosses (≤ 2× the true value, which is plenty for
-/// p50/p99 SLO reporting).
+/// cheap enough that every lane carries one. Quantiles come back as the
+/// upper bound of the bucket the cumulative count crosses (≤ 2× the true
+/// value, which is plenty for p50/p99 SLO reporting).
 pub(crate) struct WaitTracker {
     max_nanos: AtomicU64,
     buckets: [AtomicU64; 65],
@@ -347,7 +339,8 @@ impl WaitTracker {
 /// What a batcher is doing, as admissions see it through the
 /// [`Doorbell`]: awake (it looks at the queue again before it next
 /// sleeps), idle (asleep with nothing pending and no timeout) or
-/// coalescing (asleep until its window closes).
+/// coalescing (asleep until its window closes). `AWAKE` is 0, the
+/// derived default of a new [`Doorbell`].
 const AWAKE: u8 = 0;
 const IDLE: u8 = 1;
 const COALESCING: u8 = 2;
@@ -387,6 +380,7 @@ pub(crate) enum Take<T> {
 /// sets a flag under the bell's mutex before it notifies, and the
 /// batcher tests that flag under the same mutex before it waits, so a
 /// ring landing between the last look and the wait is not lost either.
+#[derive(Default)]
 pub(crate) struct Doorbell {
     /// `AWAKE`, `IDLE` or `COALESCING`. Accessed `Relaxed`: the `SeqCst`
     /// fences described above order it against the queue, and the mutex
@@ -401,10 +395,8 @@ pub(crate) struct Doorbell {
 impl Doorbell {
     fn new(max_batch: usize) -> Self {
         Doorbell {
-            phase: AtomicU8::new(AWAKE),
             max_batch: max_batch as u64,
-            rung: Mutex::new(false),
-            bell: Condvar::new(),
+            ..Default::default()
         }
     }
 
@@ -483,6 +475,7 @@ impl Doorbell {
 /// Process-lifetime counters shared by a lane's handle, its clients and
 /// its batcher thread — the one shape the single-model server and every
 /// router lane report through.
+#[derive(Default)]
 pub(crate) struct Counters {
     pub(crate) submitted: AtomicU64,
     pub(crate) rejected: AtomicU64,
@@ -512,19 +505,8 @@ impl Counters {
     /// Counters for a batcher that flushes at `max_batch` samples.
     pub(crate) fn new(max_batch: usize) -> Self {
         Counters {
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            abstained: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_fill: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            deadline_missed: AtomicU64::new(0),
-            waits: WaitTracker::default(),
-            stages: Mutex::new(Vec::new()),
             bell: Doorbell::new(max_batch),
-            wakes: AtomicU64::new(0),
+            ..Default::default()
         }
     }
 
@@ -549,12 +531,6 @@ impl Counters {
         self.submitted.fetch_add(1, Ordering::Relaxed);
         self.bell
             .admitted(self.depth.load(Ordering::Relaxed), urgent);
-    }
-
-    /// Publishes the serving engine's per-stage stats (chip reports plus
-    /// per-stage windows and busy time) for the next [`Counters::snapshot`].
-    pub(crate) fn publish_stages(&self, stages: Vec<StageStats>) {
-        *relock(self.stages.lock()) = stages;
     }
 
     /// Snapshot of the counters in the public stats shape; the serving
@@ -609,9 +585,9 @@ pub(crate) struct Share {
 /// One lane's handle: the admission side of its queue, the state its
 /// clients and batcher share, and the batcher thread.
 pub(crate) struct Lane {
-    /// Admission side of the queue; taken (and dropped) by
-    /// [`Lane::shutdown`] so the batcher's drain terminates.
-    tx: Mutex<Option<mpsc::SyncSender<Envelope>>>,
+    /// Admission side of the queue. The batcher's drain ends on the stop
+    /// flag, not on a disconnect.
+    tx: mpsc::SyncSender<Envelope>,
     pub(crate) stop: Arc<AtomicBool>,
     pub(crate) counters: Arc<Counters>,
     /// The version barrier: admissions stamp and send under its read
@@ -650,7 +626,7 @@ impl Lane {
                 .expect("failed to spawn a lane batcher thread")
         };
         Lane {
-            tx: Mutex::new(Some(tx)),
+            tx,
             stop,
             counters,
             gate: VersionGate::new(),
@@ -660,14 +636,6 @@ impl Lane {
             share,
             handle: Mutex::new(Some(handle)),
         }
-    }
-
-    /// A clone of the queue's admission side, while the lane is live.
-    pub(crate) fn sender(&self) -> Result<mpsc::SyncSender<Envelope>, Error> {
-        if self.stop.load(Ordering::SeqCst) {
-            return Err(Error::ServerClosed);
-        }
-        relock(self.tx.lock()).clone().ok_or(Error::ServerClosed)
     }
 
     /// Refuses a width `got` (of `what`) other than the lane's fan-in.
@@ -683,13 +651,12 @@ impl Lane {
         }
     }
 
-    /// Admits one request through `tx`, blocking while the queue is full
-    /// or, when not `blocking`, refusing with [`Error::QueueFull`].
+    /// Admits one request, blocking while the queue is full or, when not
+    /// `blocking`, refusing with [`Error::QueueFull`].
     /// Returns the version stamped on it — the version whose engine will
     /// serve it — and the reply to wait on.
     pub(crate) fn admit(
         &self,
-        tx: &mpsc::SyncSender<Envelope>,
         fields: Vec<Complex64>,
         label: Option<usize>,
         deadline: Option<Instant>,
@@ -721,9 +688,9 @@ impl Lane {
                 reply,
             });
             if blocking {
-                tx.send(request).map_err(|_| Error::ServerClosed)
+                self.tx.send(request).map_err(|_| Error::ServerClosed)
             } else {
-                tx.try_send(request).map_err(|e| match e {
+                self.tx.try_send(request).map_err(|e| match e {
                     mpsc::TrySendError::Full(_) => Error::QueueFull {
                         capacity: self.queue_cap,
                     },
@@ -755,35 +722,31 @@ impl Lane {
     /// every later one by `engine`, as version `current + 1`.
     pub(crate) fn swap(&self, engine: InferenceEngine) -> Result<SwapTicket, Error> {
         self.check_width(engine.input_dim(), "candidate input width")?;
-        let tx = self.sender()?;
         self.gate.barrier(|state| {
             if state.canary.is_some() {
                 return Err(Error::CanaryActive);
             }
             let version = state.current + 1;
             let (reply, rx) = mpsc::channel();
-            self.send_control(
-                &tx,
-                Control::Swap {
-                    engine: Box::new(engine),
-                    version,
-                    reply,
-                },
-            )?;
+            self.send_control(Control::Swap {
+                engine: Box::new(engine),
+                version,
+                reply,
+            })?;
             state.current = version;
             Ok(SwapTicket { rx })
         })
     }
 
-    /// Publishes a version-change control into the queue and rings the
-    /// batcher, so the change applies at the next micro-batch boundary
-    /// rather than when the coalescing window closes.
-    pub(crate) fn send_control(
-        &self,
-        tx: &mpsc::SyncSender<Envelope>,
-        control: Control,
-    ) -> Result<(), Error> {
-        tx.send(Envelope::Control(control))
+    /// Publishes a version-change control into the queue, while the lane
+    /// is live, and rings the batcher, so the change applies at the next
+    /// micro-batch boundary rather than when the coalescing window closes.
+    pub(crate) fn send_control(&self, control: Control) -> Result<(), Error> {
+        if self.stop.load(Ordering::SeqCst) {
+            return Err(Error::ServerClosed);
+        }
+        self.tx
+            .send(Envelope::Control(control))
             .map_err(|_| Error::ServerClosed)?;
         self.counters.bell.ring();
         Ok(())
@@ -798,7 +761,6 @@ impl Lane {
     /// the serving engine back. Idempotent; `None` after the first call.
     pub(crate) fn shutdown(&self) -> Option<InferenceEngine> {
         self.stop.store(true, Ordering::SeqCst);
-        drop(relock(self.tx.lock()).take());
         self.counters.bell.ring();
         relock(self.handle.lock())
             .take()
@@ -899,12 +861,6 @@ impl EngineRack {
         self.confidence_override.or(self.confidence)
     }
 
-    /// The current serving engine's per-stage stats (chip reports plus
-    /// per-stage timers), published into counters after each flush.
-    pub(crate) fn stage_stats(&self) -> Vec<StageStats> {
-        self.current.stage_stats()
-    }
-
     /// Applies one control message at its FIFO position. `draining` is
     /// the stop flag **at apply time**: a swap that lands after shutdown
     /// began must not replace the engine the server hands back, so it
@@ -934,11 +890,8 @@ impl EngineRack {
                 self.confidence_override = confidence;
                 self.tallies = Some(tallies);
             }
-            Control::Promote { reply } => {
-                let _ = reply.send(self.settle(true, draining, counters));
-            }
-            Control::Rollback { reply } => {
-                let _ = reply.send(self.settle(false, draining, counters));
+            Control::Settle { promote, reply } => {
+                let _ = reply.send(self.settle(promote, draining, counters));
             }
         }
     }
@@ -1114,7 +1067,9 @@ fn run(
                     flush_seq,
                     now,
                 );
-                counters.publish_stages(rack.stage_stats());
+                // Publish the serving engine's per-stage stats (chip
+                // reports plus per-stage timers) for the next snapshot.
+                *relock(counters.stages.lock()) = rack.current.stage_stats();
             }
             // The control applies after the last batch admitted before it,
             // and before that batch's drift step.

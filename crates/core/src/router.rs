@@ -1,8 +1,8 @@
 //! Multi-model serving router: one admission layer over N named model
 //! deployments with deadline-aware (EDF) micro-batching.
 //!
-//! The [`crate::serve`] front end owns exactly one deployed model and
-//! flushes FIFO. Production photonic serving is multi-tenant: many models
+//! The [`crate::serve`] front end owns exactly one deployed model.
+//! Production photonic serving is multi-tenant: many models
 //! share one substrate, requests carry latency budgets, and one hot
 //! tenant must not starve the rest. This module is that tier:
 //!
@@ -23,10 +23,10 @@
 //!   Unknown names are refused with [`Error::UnknownModel`]; a request
 //!   whose deadline has already passed is refused with
 //!   [`Error::DeadlineExceeded`] before it costs a queue slot.
-//! * **Per-model lanes**: each registered model owns a bounded queue and
-//!   a dedicated batcher thread over its own [`InferenceEngine`] —
-//!   the same queue/ticket/backpressure machinery as
-//!   [`crate::serve::Server`], generalised to N lanes behind one router.
+//! * **Per-model lanes**: each registered model is one lane of the
+//!   serving runtime a [`crate::serve::Server`] runs — a bounded queue, a
+//!   dedicated batcher thread over its own [`InferenceEngine`], a version
+//!   gate and counters — plus its name and its slot in the fair share.
 //!   Models register and deregister at runtime; registration goes
 //!   through the process-wide deploy cache, so two models over the same
 //!   weights share one cached decomposition
@@ -42,13 +42,13 @@
 //!   aborts the swap — its replacement engine returns through the
 //!   [`SwapTicket`] as [`crate::serve::SwapOutcome::Aborted`], never
 //!   lost.
-//! * **EDF batching**: lanes coalesce like the FIFO server (flush on
-//!   `max_batch` or `max_wait`), but the pending set is an
-//!   [`EdfQueue`] — flushes pop by earliest deadline, then priority
-//!   class, then arrival. A deadline that would expire inside the
-//!   coalescing window cuts the window short, and a request found
-//!   expired at flush time is rejected with
-//!   [`Error::DeadlineExceeded`] instead of wasting mesh cycles.
+//! * **EDF batching**: a lane flushes on `max_batch` or `max_wait` after
+//!   its oldest pending arrival, and its pending set is an [`EdfQueue`]:
+//!   flushes pop by earliest deadline, then priority class, then arrival
+//!   (a server's lane, with neither, pops in admission order). A
+//!   deadline that would expire inside the coalescing window cuts the
+//!   window short, and a request found expired at flush time is rejected
+//!   with [`Error::DeadlineExceeded`] instead of wasting mesh cycles.
 //! * **Fairness**: at every flush a lane sizes its engine's worker
 //!   shard count to its share of the process `--jobs` budget,
 //!   proportional to queue depth weighted by the model's optical stage
@@ -505,8 +505,7 @@ impl RouterCore {
                 });
             }
         }
-        let tx = lane.sender()?;
-        let (_, reply) = lane.admit(&tx, req.fields, None, req.deadline, req.priority, blocking)?;
+        let (_, reply) = lane.admit(req.fields, None, req.deadline, req.priority, blocking)?;
         Ok(RouterTicket { reply })
     }
 
@@ -1018,38 +1017,28 @@ mod tests {
 
     #[test]
     fn edf_queue_pops_like_a_sorted_reference_in_and_out_of_order() {
-        // Runs of in-order pushes (ascending deadlines, one class) mixed
-        // with entries that overtake them, interleaved with pops: the
-        // in-order run and the heap must together pop exactly what a
-        // sorted reference pops, and agree on the head's deadline and the
-        // oldest arrival.
+        // In-order pushes (growing deadlines, one class) queue in the run,
+        // overtaking ones in the heap. Interleaved with pops, the two must
+        // pop exactly what a sorted reference pops and agree on its head.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let now = Instant::now();
+        let at = |us: u64| now + Duration::from_micros(us);
         let mut rng = StdRng::seed_from_u64(110_100);
-        let mut q = EdfQueue::new();
-        let mut reference: Vec<(bool, Option<Instant>, Priority, u64, Instant)> = Vec::new();
-        let priorities = [Priority::Interactive, Priority::Standard, Priority::Batch];
+        let (mut q, mut reference) = (EdfQueue::new(), Vec::new());
         for step in 0..4000u64 {
             if rng.gen_range(0..3) == 0 {
-                let popped = q.pop().map(|e| (e.deadline, e.priority, e.value));
-                let want = reference.first().map(|r| (r.1, r.2, r.3));
-                assert_eq!(popped, want, "step {step}");
-                if !reference.is_empty() {
-                    reference.remove(0);
-                }
+                let got = q
+                    .pop()
+                    .map(|e| (e.deadline, e.priority, e.value, e.arrived));
+                let want = (!reference.is_empty()).then(|| reference.remove(0));
+                assert_eq!(got, want.map(|(_, d, p, v, a)| (d, p, v, a)));
             } else {
-                let in_order = rng.gen_range(0..4) != 0;
-                let deadline = match rng.gen_range(0..4) {
-                    0 => None,
-                    _ if in_order => Some(now + Duration::from_micros(step)),
-                    _ => Some(now + Duration::from_micros(rng.gen_range(0..step + 1))),
+                let (deadline, priority) = match rng.gen_range(0..4) {
+                    0 => (None, Priority::Standard),
+                    1 => (Some(at(rng.gen_range(0..=step))), Priority::Interactive),
+                    _ => (Some(at(step)), Priority::Standard),
                 };
-                let priority = if in_order {
-                    Priority::Standard
-                } else {
-                    priorities[rng.gen_range(0..3)]
-                };
-                let arrived = now + Duration::from_nanos(rng.gen_range(0..1000));
+                let arrived = at(rng.gen_range(0..1000));
                 q.push(deadline, priority, arrived, step);
                 reference.push((deadline.is_none(), deadline, priority, step, arrived));
                 reference.sort();

@@ -22,15 +22,22 @@
 //! * A dedicated **batcher thread** drains the queue into micro-batches,
 //!   flushing on whichever comes first: the batch reaching
 //!   [`ServerBuilder::max_batch`] samples, or the oldest queued request
-//!   waiting [`ServerBuilder::max_wait`]. Between drains it sleeps; only
-//!   the admission that starts or fills a batch, a version change or
-//!   shutdown wakes it early, so an idle or coalescing server costs no
-//!   CPU. Each flush stages the samples
-//!   into one contiguous buffer and drives the engine's borrowed-batch
-//!   entry point ([`InferenceEngine::classify_rows`]' generic form) — no
+//!   having waited [`ServerBuilder::max_wait`] since its admission.
+//!   Between drains it sleeps; only the admission that starts or fills a
+//!   batch, a version change or shutdown wakes it early, so an idle or
+//!   coalescing server costs no CPU. Each flush stages the samples into
+//!   one contiguous buffer and drives the engine's borrowed-batch entry
+//!   point ([`InferenceEngine::classify_rows`]' generic form) — no
 //!   per-request tensor copies. The batcher holds a
 //!   [`crate::pool::ServiceSlot`], so its thread draws from the shared
 //!   `--jobs` budget like every other worker in the process.
+//! * The queue, batcher, version gate and counters are one *lane* of the
+//!   serving runtime that also runs every model of a
+//!   [`crate::router::Router`]: a server is that lane with no deadlines,
+//!   one priority class (so its [`crate::router::EdfQueue`] flushes in
+//!   admission order) and no fair-share hook (so the engine keeps the
+//!   worker count it was given). Both front ends therefore coalesce,
+//!   swap and count by one set of rules.
 //! * Clients hold a cheap, cloneable [`Client`] handle. `submit` returns
 //!   a [`Ticket`] immediately; [`Ticket::wait`] / [`Ticket::try_wait`]
 //!   resolve to the [`Prediction`] once the batch containing the sample
@@ -66,17 +73,18 @@
 //! accumulate in [`CanaryStats`] through the existing [`Confidence`]
 //! machinery, and [`Server::promote`] / [`Server::rollback`] settle which
 //! version keeps the lane. [`ServerBuilder::drift`] closes the loop with
-//! the online-recalibration scenario: a
-//! [`PhaseDrift`] random walk perturbs the
-//! live meshes between flushes, and periodic hot swaps to freshly
-//! calibrated deployments restore accuracy without dropping traffic.
+//! the online-recalibration scenario: a [`PhaseDrift`] random walk takes
+//! one step on the live meshes after each served batch (a version change
+//! that ends the cycle applies first, then the step), and periodic hot
+//! swaps to freshly calibrated deployments restore accuracy without
+//! dropping traffic.
 //!
 //! Everything is plain threads and channels — no async runtime, matching
 //! the workspace's std-only stance.
 
 use crate::engine::{Confidence, InferenceEngine, StageStats};
 use crate::error::Error;
-use crate::lane::{relock, CanaryCounters, CanarySplit, Control, Envelope, Lane, Policy, Reply};
+use crate::lane::{relock, CanaryCounters, CanarySplit, Control, Lane, Policy, Reply};
 use crate::router::Priority;
 use oplix_linalg::Complex64;
 use oplix_nn::ctensor::CTensor;
@@ -428,7 +436,7 @@ impl ServerBuilder {
     /// Serves under continuous phase drift: the batcher applies one
     /// random-walk step of `drift` to every live engine (current and any
     /// staged candidate — they share the physical substrate) after each
-    /// flush cycle that served samples. Accuracy then degrades as drift
+    /// batch it serves, so every batch sees one chip state. Accuracy then degrades as drift
     /// accumulates; a hot swap to a freshly calibrated deployment
     /// ([`Server::swap`]) is the recalibration that restores it.
     pub fn drift(mut self, drift: PhaseDrift) -> Self {
@@ -525,7 +533,6 @@ impl Server {
     /// A new cloneable client handle onto this server's queue.
     pub fn client(&self) -> Client {
         Client {
-            tx: self.lane.sender().expect("server handle outlives shutdown"),
             lane: Arc::clone(&self.lane),
         }
     }
@@ -645,7 +652,6 @@ impl Server {
     pub fn canary(&self, engine: InferenceEngine, policy: CanaryPolicy) -> Result<(), Error> {
         self.lane
             .check_width(engine.input_dim(), "candidate input width")?;
-        let tx = self.lane.sender()?;
         let fraction = policy.fraction.clamp(0.0, 1.0);
         self.lane.gate.barrier(|state| {
             if state.canary.is_some() {
@@ -658,20 +664,14 @@ impl Server {
                 fraction,
                 policy.seed,
             ));
-            self.lane.send_control(
-                &tx,
-                Control::Canary {
-                    engine: Box::new(engine),
-                    version,
-                    confidence: policy.confidence,
-                    tallies: Arc::clone(&tallies),
-                },
-            )?;
-            state.canary = Some(CanarySplit {
+            self.lane.send_control(Control::Canary {
+                engine: Box::new(engine),
                 version,
-                fraction,
+                confidence: policy.confidence,
+                tallies: Arc::clone(&tallies),
+            })?;
+            state.canary = Some(CanarySplit {
                 drawn: AtomicU64::new(0),
-                seed: policy.seed,
                 tallies: Arc::clone(&tallies),
             });
             *relock(self.last_canary.lock()) = Some(tallies);
@@ -728,22 +728,17 @@ impl Server {
     }
 
     fn decide_canary(&self, promote: bool) -> Result<SwapTicket, Error> {
-        let tx = self.lane.sender()?;
         self.lane.gate.barrier(|state| {
             let Some(canary) = state.canary.take() else {
                 return Err(Error::NoCanary);
             };
             let (reply, rx) = mpsc::channel();
-            let control = if promote {
-                Control::Promote { reply }
-            } else {
-                Control::Rollback { reply }
-            };
             // A failed send means the batcher is gone; the canary split
             // is already cleared either way.
-            self.lane.send_control(&tx, control)?;
+            let control = Control::Settle { promote, reply };
+            self.lane.send_control(control)?;
             if promote {
-                state.current = canary.version;
+                state.current = canary.tallies.candidate.version;
             }
             Ok(SwapTicket { rx })
         })
@@ -816,9 +811,6 @@ impl std::fmt::Debug for Server {
 #[derive(Clone)]
 pub struct Client {
     lane: Arc<Lane>,
-    /// This client's own clone of the queue's admission side, so
-    /// submissions take no lock.
-    tx: mpsc::SyncSender<Envelope>,
 }
 
 impl Client {
@@ -836,7 +828,7 @@ impl Client {
         self.lane.check_width(fields.len(), "sample width")?;
         let (version, reply) =
             self.lane
-                .admit(&self.tx, fields, label, None, Priority::default(), blocking)?;
+                .admit(fields, label, None, Priority::default(), blocking)?;
         Ok(Ticket { reply, version })
     }
 
