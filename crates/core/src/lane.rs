@@ -18,9 +18,11 @@
 //!   sooner on a full batch, a deadline inside the window, a control
 //!   message or shutdown.
 //! * **Serving** ([`serve_batch`]): a flush is grouped by stamped version
-//!   and served through the [`EngineRack`]; a batch poisoned by one sample
-//!   falls back to serving each request alone, and a request found expired
-//!   at flush time is rejected with [`Error::DeadlineExceeded`].
+//!   and served through the [`EngineRack`], with this lane's fair share of
+//!   the worker budget if it has one. A batch poisoned by one sample
+//!   (non-finite logits) falls back to serving each request alone, so only
+//!   that sample gets an error, and a request found expired at flush time
+//!   is rejected with [`Error::DeadlineExceeded`].
 //! * **Version changes** ([`Control`]) ride the same FIFO as requests and
 //!   apply at a micro-batch boundary, after every request admitted before
 //!   them has been served.
@@ -88,11 +90,11 @@ pub(crate) enum Control {
         version: u64,
         reply: mpsc::Sender<Result<SwapOutcome, Error>>,
     },
-    /// Stage `engine` as the canary candidate for `version`; admissions
-    /// stamped with `version` serve through it while tallies accumulate.
+    /// Stage `engine` as the canary candidate, the version its `tallies`
+    /// name; admissions stamped with it serve through `engine` while the
+    /// tallies accumulate.
     Canary {
         engine: Box<InferenceEngine>,
-        version: u64,
         confidence: Option<Confidence>,
         tallies: Arc<CanaryCounters>,
     },
@@ -104,19 +106,11 @@ pub(crate) enum Control {
     },
 }
 
-/// The live canary split, as the admission side sees it.
-pub(crate) struct CanarySplit {
-    /// Admissions drawn so far: the index of the next draw.
-    pub(crate) drawn: AtomicU64,
-    /// The run's split parameters, candidate version and tallies.
-    pub(crate) tallies: Arc<CanaryCounters>,
-}
-
 /// The version gate's guarded state: the current serving version and the
-/// live canary split, if one is staged.
+/// live canary run, if one is staged.
 pub(crate) struct GateState {
     pub(crate) current: u64,
-    pub(crate) canary: Option<CanarySplit>,
+    pub(crate) canary: Option<Arc<CanaryCounters>>,
 }
 
 /// The admission-side version barrier. Every submission stamps its
@@ -169,8 +163,8 @@ impl VersionGate {
         let version = match &state.canary {
             Some(c) => {
                 let n = c.drawn.fetch_add(1, Ordering::Relaxed);
-                if split_unit(c.tallies.seed, n) < c.tallies.fraction {
-                    c.tallies.candidate.version
+                if split_unit(c.seed, n) < c.fraction {
+                    c.candidate.version
                 } else {
                     state.current
                 }
@@ -179,7 +173,7 @@ impl VersionGate {
         };
         send(version)?;
         if let Some(c) = &state.canary {
-            if let Some(slot) = c.tallies.slot(version) {
+            if let Some(slot) = c.slot(version) {
                 slot.routed.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -233,10 +227,13 @@ impl VersionTallyCounters {
 }
 
 /// The shared accumulator of one canary run: a tally slot per version
-/// plus the split parameters, so a snapshot is self-describing.
+/// plus the split parameters, so a snapshot is self-describing, and the
+/// split's draw count.
 pub(crate) struct CanaryCounters {
     fraction: f64,
     seed: u64,
+    /// Admissions drawn so far: the index of the next draw.
+    drawn: AtomicU64,
     baseline: VersionTallyCounters,
     pub(crate) candidate: VersionTallyCounters,
 }
@@ -246,6 +243,7 @@ impl CanaryCounters {
         CanaryCounters {
             fraction,
             seed,
+            drawn: AtomicU64::new(0),
             baseline: VersionTallyCounters::new(baseline),
             candidate: VersionTallyCounters::new(candidate),
         }
@@ -880,13 +878,12 @@ impl EngineRack {
             }
             Control::Canary {
                 engine,
-                version,
                 confidence,
                 tallies,
             } => {
                 // Always installed, even while draining: requests stamped
                 // with the candidate version may sit behind this control.
-                self.candidate = Some((version, *engine));
+                self.candidate = Some((tallies.candidate.version, *engine));
                 self.confidence_override = confidence;
                 self.tallies = Some(tallies);
             }
@@ -955,14 +952,10 @@ impl EngineRack {
     }
 }
 
-/// The batcher thread body, for every lane: coalesce into an [`EdfQueue`],
-/// flush on `max_batch`, on the window `max_wait` after the oldest pending
-/// arrival or on an in-window deadline, and serve in EDF order through the
-/// rack. A control message ends the window; everything admitted before it
-/// is flushed first (the micro-batch boundary it is atomic at), then it
-/// applies — or, if the lane began draining, a swap aborts and its
-/// replacement is handed back at exit. On shutdown, drain to empty so no
-/// admitted ticket is lost.
+/// The batcher thread body of every lane, by the rules in the module
+/// docs. On shutdown it drains the queue to empty, so no admitted ticket
+/// is lost, and a swap that arrives while draining aborts and hands its
+/// replacement back at exit.
 fn run(
     engine: InferenceEngine,
     rx: mpsc::Receiver<Envelope>,
@@ -1114,16 +1107,11 @@ pub(crate) fn take_flush_batch(
     (batch, expired)
 }
 
-/// Serves one flush batch through the rack, grouped by stamped version so
-/// every request is served by exactly the engine it was admitted under.
-/// In steady state the batch is single-version and serves in place;
-/// around a version change it partitions into per-version sub-batches
-/// (stable order within each). A sub-batch poisoned by one sample
-/// (non-finite logits) falls back to serving each request alone, so the
-/// offending sample gets its error and the rest their predictions.
-/// `flush_seq` numbers the flush, and `now` is its one clock read, which
-/// every wait is measured to. A lane with a fair-share hook first sizes
-/// the engine's worker count to its share of the `--jobs` budget.
+/// Serves one flush batch, grouped by stamped version so every request is
+/// served by exactly the engine it was admitted under: single-version and
+/// in place in steady state, per-version sub-batches (stable order within
+/// each) around a version change. `flush_seq` numbers the flush, and
+/// `now` is its one clock read, which every wait is measured to.
 fn serve_batch(
     rack: &mut EngineRack,
     mut batch: Vec<Request>,

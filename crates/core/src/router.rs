@@ -538,12 +538,9 @@ impl RouterCore {
 
     fn shutdown_all(&self) -> Vec<(String, InferenceEngine)> {
         self.closed.store(true, Ordering::SeqCst);
-        let lanes: Vec<(String, Arc<Model>)> = {
-            let mut map = relock(self.lanes.write());
-            // BTreeMap iteration is already name-ordered; no sort needed
-            // for a deterministic shutdown sequence.
-            std::mem::take(&mut *map).into_iter().collect()
-        };
+        // BTreeMap iteration is already name-ordered; no sort needed for a
+        // deterministic shutdown sequence.
+        let lanes = std::mem::take(&mut *relock(self.lanes.write()));
         lanes
             .into_iter()
             .filter_map(|(name, model)| model.lane.shutdown().map(|engine| (name, engine)))

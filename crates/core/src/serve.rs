@@ -84,14 +84,13 @@
 
 use crate::engine::{Confidence, InferenceEngine, StageStats};
 use crate::error::Error;
-use crate::lane::{relock, CanaryCounters, CanarySplit, Control, Lane, Policy, Reply};
+use crate::lane::{relock, CanaryCounters, Control, Lane, Policy, Reply};
 use crate::router::Priority;
 use oplix_linalg::Complex64;
 use oplix_nn::ctensor::CTensor;
 use oplix_nn::network::Network;
 use oplix_photonics::svd_map::MeshStyle;
 use oplix_photonics::PhaseDrift;
-use std::sync::atomic::AtomicU64;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -666,14 +665,10 @@ impl Server {
             ));
             self.lane.send_control(Control::Canary {
                 engine: Box::new(engine),
-                version,
                 confidence: policy.confidence,
                 tallies: Arc::clone(&tallies),
             })?;
-            state.canary = Some(CanarySplit {
-                drawn: AtomicU64::new(0),
-                tallies: Arc::clone(&tallies),
-            });
+            state.canary = Some(Arc::clone(&tallies));
             *relock(self.last_canary.lock()) = Some(tallies);
             Ok(())
         })
@@ -738,7 +733,7 @@ impl Server {
             let control = Control::Settle { promote, reply };
             self.lane.send_control(control)?;
             if promote {
-                state.current = canary.tallies.candidate.version;
+                state.current = canary.candidate.version;
             }
             Ok(SwapTicket { rx })
         })
