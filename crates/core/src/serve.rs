@@ -435,9 +435,10 @@ impl ServerBuilder {
     /// Serves under continuous phase drift: the batcher applies one
     /// random-walk step of `drift` to every live engine (current and any
     /// staged candidate — they share the physical substrate) after each
-    /// batch it serves, so every batch sees one chip state. Accuracy then degrades as drift
-    /// accumulates; a hot swap to a freshly calibrated deployment
-    /// ([`Server::swap`]) is the recalibration that restores it.
+    /// batch it serves, so every batch sees one chip state. Accuracy then
+    /// degrades as drift accumulates; a hot swap to a freshly calibrated
+    /// deployment ([`Server::swap`]) is the recalibration that restores
+    /// it.
     pub fn drift(mut self, drift: PhaseDrift) -> Self {
         self.drift = Some(drift);
         self
