@@ -620,7 +620,10 @@ impl Lane {
             let (stop, counters, share) = (Arc::clone(&stop), Arc::clone(&counters), share.clone());
             thread::Builder::new()
                 .name(name)
-                .spawn(move || run(engine, rx, policy, stop, counters, drift, share))
+                .spawn(move || {
+                    let hold = queue_cap.max(policy.max_batch);
+                    run(engine, rx, policy, hold, stop, counters, drift, share)
+                })
                 .expect("failed to spawn a lane batcher thread")
         };
         Lane {
@@ -953,13 +956,17 @@ impl EngineRack {
 }
 
 /// The batcher thread body of every lane, by the rules in the module
-/// docs. On shutdown it drains the queue to empty, so no admitted ticket
-/// is lost, and a swap that arrives while draining aborts and hands its
-/// replacement back at exit.
+/// docs. It takes requests off the channel only while fewer than `hold`
+/// are pending, so a lane never holds more than `hold` requests beyond
+/// its queue bound. On shutdown it drains the queue to empty, so no
+/// admitted ticket is lost, and a swap that arrives while draining aborts
+/// and hands its replacement back at exit.
+#[allow(clippy::too_many_arguments)]
 fn run(
     engine: InferenceEngine,
     rx: mpsc::Receiver<Envelope>,
     policy: Policy,
+    hold: usize,
     stop: Arc<AtomicBool>,
     counters: Arc<Counters>,
     mut drift: Option<PhaseDrift>,
@@ -998,11 +1005,13 @@ fn run(
         if let Some(oldest) = pending.oldest_arrival().filter(|_| control.is_none()) {
             let window_end = oldest + policy.max_wait;
             'coalesce: loop {
-                // Drain the whole backlog, not just enough to fill one
-                // batch: flush membership must be decided by the EDF
-                // queue, not by arrival order. A request left in the
-                // channel is invisible to `take_flush_batch`.
-                loop {
+                // Drain the backlog up to `hold`, not just enough to fill
+                // one batch: flush membership must be decided by the EDF
+                // queue, not by arrival order, and a request left in the
+                // channel is invisible to `take_flush_batch`. The cap keeps
+                // the channel the lane's backpressure: under overload the
+                // channel fills and `submit` blocks or `try_submit` sheds.
+                while pending.len() < hold {
                     match rx.try_recv() {
                         Ok(Envelope::Request(r)) => push(&mut pending, r),
                         Ok(Envelope::Control(c)) => {

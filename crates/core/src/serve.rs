@@ -410,6 +410,9 @@ impl ServerBuilder {
     /// Bound of the admission queue (clamped to ≥ 1; default 1024).
     /// [`Client::submit`] blocks while the queue holds this many pending
     /// requests; [`Client::try_submit`] returns [`Error::QueueFull`].
+    /// The batcher takes requests off the queue only while it holds
+    /// fewer than `max(queue_cap, max_batch)`, so at most that many more
+    /// are admitted but unanswered.
     pub fn queue_cap(mut self, n: usize) -> Self {
         self.queue_cap = n.max(1);
         self
@@ -1201,5 +1204,34 @@ mod tests {
             wakes <= 8,
             "one lone request woke the batcher {wakes} times"
         );
+    }
+
+    #[test]
+    fn an_overloaded_server_holds_a_bounded_backlog() {
+        // A client that never waits outruns a batcher serving two samples
+        // per flush. The batcher takes requests off the channel only while
+        // fewer than max(queue_cap, max_batch) are pending, so the live
+        // depth never passes the channel bound plus that, however the
+        // race between them goes.
+        let (queue_cap, max_batch) = (4, 2);
+        let x = view(1, 100_061);
+        let server = Server::builder()
+            .max_batch(max_batch)
+            .queue_cap(queue_cap)
+            .serve_engine(engine(100_060));
+        let client = server.client();
+        let bound = (queue_cap + queue_cap.max(max_batch)) as u64;
+        let mut tickets = Vec::new();
+        for _ in 0..20_000 {
+            match client.try_submit(sample_row(&x, 0)) {
+                Ok(t) => tickets.push(t),
+                Err(Error::QueueFull { .. }) => {}
+                Err(e) => panic!("unexpected admission error: {e}"),
+            }
+            let depth = server.stats().queue_depth;
+            assert!(depth <= bound, "live depth {depth} passed {bound}");
+        }
+        drop(server);
+        assert!(tickets.into_iter().all(|t| t.wait().is_ok()));
     }
 }
