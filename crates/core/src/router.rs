@@ -69,8 +69,7 @@ use crate::serve::{Prediction, ServerStats, SwapTicket};
 use oplix_linalg::Complex64;
 use oplix_nn::network::Network;
 use oplix_photonics::svd_map::MeshStyle;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -109,23 +108,6 @@ struct EdfEntry<T> {
     value: T,
 }
 
-impl<T> PartialEq for EdfEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<T> Eq for EdfEntry<T> {}
-impl<T> PartialOrd for EdfEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for EdfEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
 /// One entry popped from an [`EdfQueue`].
 #[derive(Clone, Copy, Debug)]
 pub struct EdfItem<T> {
@@ -145,10 +127,10 @@ pub struct EdfItem<T> {
 /// public so schedulers and property tests can exercise the ordering
 /// directly.
 ///
-/// Entries pushed in scheduling order — the common case: one priority
-/// class, and deadlines that grow with arrival or none at all — queue and
-/// pop in O(1) without sifting; only an entry that overtakes the last one
-/// pushed goes through the binary heap.
+/// The entries are kept sorted, so the head is the next to pop. An entry
+/// pushed in scheduling order — the common case: one priority class, and
+/// deadlines that grow with arrival or none at all — lands at the back;
+/// only one that overtakes queued entries shifts them.
 ///
 /// ```
 /// use oplixnet::router::{EdfQueue, Priority};
@@ -165,10 +147,8 @@ pub struct EdfItem<T> {
 /// assert_eq!(order, ["tight", "loose", "interactive", "no deadline"]);
 /// ```
 pub struct EdfQueue<T> {
-    /// Entries pushed in scheduling order, ascending by key.
-    run: VecDeque<EdfEntry<T>>,
-    /// Every entry pushed out of order.
-    heap: BinaryHeap<Reverse<EdfEntry<T>>>,
+    /// Every queued entry, ascending by key.
+    entries: VecDeque<EdfEntry<T>>,
     seq: u64,
 }
 
@@ -182,8 +162,7 @@ impl<T> EdfQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         EdfQueue {
-            run: VecDeque::new(),
-            heap: BinaryHeap::new(),
+            entries: VecDeque::new(),
             seq: 0,
         }
     }
@@ -203,34 +182,20 @@ impl<T> EdfQueue<T> {
             seq: self.seq,
         };
         self.seq += 1;
-        let entry = EdfEntry {
-            key,
-            arrived,
-            value,
-        };
-        if self.run.back().is_none_or(|last| last.key < key) {
-            self.run.push_back(entry);
-        } else {
-            self.heap.push(Reverse(entry));
-        }
-    }
-
-    /// Whether the scheduling-first entry heads the in-order run rather
-    /// than the heap (`None` when the queue is empty).
-    fn head_in_run(&self) -> Option<bool> {
-        match (self.run.front(), self.heap.peek()) {
-            (Some(a), Some(Reverse(b))) => Some(a.key < b.key),
-            (a, b) => a.map(|_| true).or(b.map(|_| false)),
-        }
+        let at = self.entries.partition_point(|e| e.key < key);
+        self.entries.insert(
+            at,
+            EdfEntry {
+                key,
+                arrived,
+                value,
+            },
+        );
     }
 
     /// Pops the scheduling-first entry, if any.
     pub fn pop(&mut self) -> Option<EdfItem<T>> {
-        let e = if self.head_in_run()? {
-            self.run.pop_front()?
-        } else {
-            self.heap.pop()?.0
-        };
+        let e = self.entries.pop_front()?;
         Some(EdfItem {
             deadline: e.key.deadline,
             priority: e.key.priority,
@@ -241,31 +206,25 @@ impl<T> EdfQueue<T> {
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        self.run.len() + self.heap.len()
+        self.entries.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.heap.is_empty()
+        self.entries.is_empty()
     }
 
     /// The earliest deadline among queued entries (`None` if no entry
     /// carries one). O(1): it is the head's deadline unless the head is
     /// deadline-less, in which case nothing has one.
     pub fn earliest_deadline(&self) -> Option<Instant> {
-        let head = if self.head_in_run()? {
-            self.run.front()
-        } else {
-            self.heap.peek().map(|Reverse(e)| e)
-        };
-        head.and_then(|e| e.key.deadline)
+        self.entries.front()?.key.deadline
     }
 
     /// The earliest arrival among queued entries — what anchors the
     /// `max_wait` flush window. O(n).
     pub fn oldest_arrival(&self) -> Option<Instant> {
-        let heap = self.heap.iter().map(|Reverse(e)| e);
-        self.run.iter().chain(heap).map(|e| e.arrived).min()
+        self.entries.iter().map(|e| e.arrived).min()
     }
 }
 
@@ -616,7 +575,8 @@ impl RouterBuilder {
     }
 
     /// Bound of each lane's admission queue (clamped to ≥ 1; default
-    /// 1024).
+    /// 1024). A lane's batcher takes requests off its queue only while it
+    /// holds fewer than `max(queue_cap, max_batch)`.
     pub fn queue_cap(mut self, n: usize) -> Self {
         self.queue_cap = n.max(1);
         self
@@ -1014,9 +974,10 @@ mod tests {
 
     #[test]
     fn edf_queue_pops_like_a_sorted_reference_in_and_out_of_order() {
-        // In-order pushes (growing deadlines, one class) queue in the run,
-        // overtaking ones in the heap. Interleaved with pops, the two must
-        // pop exactly what a sorted reference pops and agree on its head.
+        // In-order pushes (growing deadlines, one class) land at the back,
+        // overtaking ones are inserted ahead of queued entries. Interleaved
+        // with pops, the queue must pop exactly what a sorted reference
+        // pops and agree on its head.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let now = Instant::now();
         let at = |us: u64| now + Duration::from_micros(us);
