@@ -358,11 +358,16 @@ fn logit_hash(logits: &[Vec<f64>]) -> u64 {
 
 #[test]
 fn transfer_logits_over_every_batch_height_are_pinned_bitwise() {
-    // The served FCNN shape (64→32→10, Merge) and a 7-stage LeNet body at
-    // Transfer, over batches of every height 1..=70 (every lane-chunk
+    // The served FCNN shape (64→32→10, Merge), a 7-stage LeNet body and a
+    // two-conv CNN, over batches of every height 1..=70 (every lane-chunk
     // remainder, on both sides of one 64-row serve window), at 1 and 2
-    // workers. The hashes were recorded before leftover rows ran on
-    // narrower lanes and the engine sharded by whole lane chunks.
+    // workers, at both fidelity tiers. The LeNet convs run stride 1,
+    // pad 2; the CNN's first conv runs stride 2, pad 1 over an odd plane
+    // and its second pad 0, so border taps and stride skipping are
+    // pinned too. The FCNN and LeNet Transfer hashes were recorded
+    // before leftover rows ran on narrower lanes and the engine sharded
+    // by whole lane chunks; the Golden hashes and the CNN's before the
+    // Golden walk dropped its row tiles and gather plans.
     use oplixnet::zoo::{build_lenet, LenetConfig};
     const MOST: usize = 70;
     let mut rng = StdRng::seed_from_u64(24);
@@ -388,26 +393,86 @@ fn transfer_logits_over_every_batch_height_are_pinned_bitwise() {
         MeshStyle::Clements,
     )
     .expect("LeNet deploys");
-    for (name, engine, sample, want) in [
-        ("FCNN", fcnn, vec![64usize], 0x7320_2137_be09_0225u64),
-        ("LeNet", lenet, shape.to_vec(), 0xfe6e_a810_1da6_4f0d),
+    // The CNN body and its inputs draw from their own stream, so the
+    // FCNN and LeNet draws above and below stay as they were.
+    let mut cnn_rng = StdRng::seed_from_u64(30);
+    let cnn_shape = [2usize, 7, 7];
+    let cnn = {
+        use oplix_nn::head::MergeHead;
+        use oplix_nn::layers::{CConv2d, CDense, CFlatten, CRelu, CSequential};
+        use oplix_nn::network::Network;
+        // [2, 7, 7] → stride 2, pad 1 → [3, 4, 4] → pad 0 → [4, 2, 2].
+        let body = CSequential::new()
+            .push(CConv2d::new(2, 3, 3, 2, 1, &mut cnn_rng))
+            .push(CRelu::new())
+            .push(CConv2d::new(3, 4, 3, 1, 0, &mut cnn_rng))
+            .push(CRelu::new())
+            .push(CFlatten::new())
+            .push(CDense::new(16, 8, &mut cnn_rng));
+        Network::new(body, Box::new(MergeHead::new()))
+    };
+    let cnn = InferenceEngine::from_network_shaped(
+        &cnn,
+        Some((cnn_shape[0], cnn_shape[1], cnn_shape[2])),
+        DeployedDetection::Differential,
+        MeshStyle::Clements,
+    )
+    .expect("CNN deploys");
+    let draw = |width: usize, rng: &mut StdRng| {
+        let re = Tensor::random_uniform(&[MOST * width], 1.0, rng);
+        let im = Tensor::random_uniform(&[MOST * width], 1.0, rng);
+        (re, im)
+    };
+    let fcnn_inputs = draw(64, &mut rng);
+    let lenet_inputs = draw(shape.iter().product(), &mut rng);
+    let cnn_inputs = draw(cnn_shape.iter().product(), &mut cnn_rng);
+    // One hash per tier: [Transfer, Golden].
+    for (name, engine, sample, (re, im), want) in [
+        (
+            "FCNN",
+            fcnn,
+            vec![64usize],
+            fcnn_inputs,
+            [0x7320_2137_be09_0225u64, 0x0665_0699_59c5_8b96],
+        ),
+        (
+            "LeNet",
+            lenet,
+            shape.to_vec(),
+            lenet_inputs,
+            [0xfe6e_a810_1da6_4f0d, 0x62ce_e4de_484a_4ab7],
+        ),
+        (
+            "CNN",
+            cnn,
+            cnn_shape.to_vec(),
+            cnn_inputs,
+            [0xa38d_732d_36a8_1af8, 0xd485_a4cb_6fb4_52b5],
+        ),
     ] {
         let width: usize = sample.iter().product();
-        let re = Tensor::random_uniform(&[MOST * width], 1.0, &mut rng);
-        let im = Tensor::random_uniform(&[MOST * width], 1.0, &mut rng);
-        for workers in [1usize, 2] {
-            let mut engine = engine.clone().with_num_workers(workers);
-            let mut logits = Vec::new();
-            for rows in 1..=MOST {
-                let dims: Vec<usize> = std::iter::once(rows)
-                    .chain(sample.iter().copied())
-                    .collect();
-                let take =
-                    |t: &Tensor| Tensor::from_vec(&dims, t.as_slice()[..rows * width].to_vec());
-                let batch = CTensor::new(take(&re), take(&im));
-                logits.extend(engine.predict_batch(&batch).expect("predicts"));
+        for (fidelity, want) in [Fidelity::Transfer, Fidelity::Golden].into_iter().zip(want) {
+            for workers in [1usize, 2] {
+                let mut engine = engine
+                    .clone()
+                    .with_fidelity(fidelity)
+                    .with_num_workers(workers);
+                let mut logits = Vec::new();
+                for rows in 1..=MOST {
+                    let dims: Vec<usize> = std::iter::once(rows)
+                        .chain(sample.iter().copied())
+                        .collect();
+                    let take =
+                        |t: &Tensor| Tensor::from_vec(&dims, t.as_slice()[..rows * width].to_vec());
+                    let batch = CTensor::new(take(&re), take(&im));
+                    logits.extend(engine.predict_batch(&batch).expect("predicts"));
+                }
+                let got = logit_hash(&logits);
+                assert_eq!(
+                    got, want,
+                    "{name} {fidelity:?} at {workers} workers: {got:#x}"
+                );
             }
-            assert_eq!(logit_hash(&logits), want, "{name} at {workers} workers");
         }
     }
 }
