@@ -18,12 +18,11 @@ use crate::engine::argmax;
 use crate::error::Error;
 use oplix_linalg::{CMatrix, Complex64};
 use oplix_nn::ctensor::CTensor;
-use oplix_nn::functional::im2col_indices;
 use oplix_nn::head::{LinearDecoderHead, UnitaryDecoderHead};
 use oplix_nn::layers::{CAvgPool2d, CConv2d, CDense, CFlatten, CRelu};
 use oplix_nn::network::Network;
 pub use oplix_photonics::compiled::Fidelity;
-use oplix_photonics::compiled::{CompiledLayer, ConvGeometry, GatherSource};
+use oplix_photonics::compiled::{CompiledLayer, ConvGeometry};
 use oplix_photonics::count::DeviceCount;
 use oplix_photonics::loss_model::OpticalLossModel;
 use oplix_photonics::svd_map::{MeshStyle, PhotonicLayer};
@@ -47,7 +46,7 @@ pub struct ForwardBuffers {
 
 /// Reusable field buffers for [`DeployedFcnn::forward_window_into`], the
 /// windowed batch path: ping-pong buffers sized `window × stage width`
-/// plus a gather scratch for conv stages on the golden walk. After
+/// plus the patch-row scratch of conv stages on the golden walk. After
 /// warm-up none reallocates, so a serving worker pushes whole sample
 /// windows through compiled kernels allocation-free.
 ///
@@ -137,13 +136,14 @@ pub(crate) struct OpticalStage {
     relu_after: bool,
 }
 
-/// A convolution lowered onto meshes through the im2col view: a pure
-/// electronic index gather (one patch row per output position, padding
-/// taps dark, bias tap on the reference mode) feeds the dense
-/// `[out_ch, patch_len + 1]` kernel matrix realised as the standard SVD →
-/// two-mesh + attenuator [`PhotonicLayer`]. One mesh serves every output
-/// position — the same weight sharing that makes conv cheap in software
-/// keeps the photonic footprint at one kernel-sized mesh per layer.
+/// A convolution lowered onto meshes through the im2col view: one patch
+/// row per output position (padding taps dark, bias tap on the reference
+/// mode) feeds the dense `[out_ch, patch_len + 1]` kernel matrix realised
+/// as the standard SVD → two-mesh + attenuator [`PhotonicLayer`]. One mesh
+/// serves every output position — the same weight sharing that makes conv
+/// cheap in software keeps the photonic footprint at one kernel-sized mesh
+/// per layer. The [`ConvGeometry`] is the one description of the patches
+/// at both fidelity tiers.
 #[derive(Clone, Debug)]
 pub(crate) struct ConvStage {
     pub(crate) layer: PhotonicLayer,
@@ -152,11 +152,6 @@ pub(crate) struct ConvStage {
     /// The input shape, kernel, stride and padding the stage convolves
     /// with.
     geometry: ConvGeometry,
-    /// The im2col gather of the golden walk: `H'·W' × (patch_len + 1)`
-    /// sources.
-    plan: Arc<Vec<GatherSource>>,
-    /// Output channels of the convolution.
-    out_ch: usize,
     /// Apply the electro-optic split ReLU after this stage.
     relu_after: bool,
 }
@@ -164,7 +159,7 @@ pub(crate) struct ConvStage {
 impl ConvStage {
     /// Flattened output features `out_ch·H'·W'`.
     fn out_features(&self) -> usize {
-        self.out_ch * self.geometry.positions()
+        self.layer.output_dim() * self.geometry.positions()
     }
 }
 
@@ -273,35 +268,12 @@ impl DeployedStage {
                 st.compiled.forward_batch_at(fidelity, cur, nxt, samples);
                 (st.layer.output_dim(), st.relu_after)
             }
-            DeployedStage::Conv(st) if fidelity == Fidelity::Transfer => {
-                // Direct convolution over the channel-major planes: the
-                // output lands channel-major, as the software conv's.
+            DeployedStage::Conv(st) => {
+                // The output lands channel-major, as the software conv's.
                 st.compiled
-                    .forward_conv(&st.geometry, &cur[..samples * width], nxt);
+                    .forward_conv(fidelity, &st.geometry, &cur[..samples * width], nxt, aux);
                 std::mem::swap(cur, nxt);
                 (st.out_features(), st.relu_after)
-            }
-            DeployedStage::Conv(st) => {
-                // im2col: gather every output position's patch (bias
-                // on the reference mode) and push the patch rows through
-                // the golden meshes.
-                st.compiled
-                    .forward_gathered(&cur[..samples * width], width, &st.plan, nxt, aux);
-                // Mesh rows come back position-major `[P][O]`; the
-                // software conv layout is channel-major `[O, H'·W']`. The
-                // transpose writes every field, so stale ones need no zeroing.
-                let (positions, out_features) = (st.geometry.positions(), st.out_features());
-                cur.resize(samples * out_features, Complex64::ZERO);
-                for s in 0..samples {
-                    let rows = &nxt[s * positions * st.out_ch..][..positions * st.out_ch];
-                    let dst = &mut cur[s * out_features..][..out_features];
-                    for p in 0..positions {
-                        for o in 0..st.out_ch {
-                            dst[o * positions + p] = rows[p * st.out_ch + o];
-                        }
-                    }
-                }
-                (out_features, st.relu_after)
             }
             DeployedStage::Pool(st) => {
                 // Electronic average pooling: detect, average the k²
@@ -387,7 +359,7 @@ pub enum DeployError {
         width: usize,
     },
     /// The body contains conv/pool layers, which need the input image
-    /// shape to build their gather plans — deploy through
+    /// shape to lower their geometry — deploy through
     /// [`DeployedFcnn::from_network_shaped`] (the stage API passes the
     /// assigned shape automatically).
     MissingImageShape {
@@ -421,7 +393,7 @@ impl std::fmt::Display for DeployError {
             ),
             DeployError::MissingImageShape { index } => write!(
                 f,
-                "layer {index} needs the input image shape to build its gather plan; \
+                "layer {index} needs the input image shape to lower its geometry; \
                  deploy via from_network_shaped (or the stage API, which passes it)"
             ),
             DeployError::Geometry { index } => write!(
@@ -1424,9 +1396,9 @@ fn deploy_dense(dense: &CDense, style: MeshStyle) -> DeployedKernels {
 
 /// Lowers one convolution onto a mesh through the im2col view: the
 /// `[out_ch, C·k·k + 1]` kernel matrix (bias in the last column) maps
-/// through the cached SVD path exactly like a dense layer, and the gather
-/// plan pairs every output position's patch taps with the mesh's input
-/// modes (padding taps dark, bias tap on the reference mode).
+/// through the cached SVD path exactly like a dense layer, and the
+/// [`ConvGeometry`] tells both fidelity tiers which input field each patch
+/// tap reads.
 fn deploy_conv(
     conv: &CConv2d,
     index: usize,
@@ -1445,7 +1417,7 @@ fn deploy_conv(
     let (ws_re, ws_im) = (w_re.as_slice(), w_im.as_slice());
     // The kernel's `[O, C, k, k]` storage is row-major, so row `o` of the
     // im2col kernel matrix is the contiguous slice `ws[o·patch ..]` in the
-    // same `(c, ky, kx)` slot order the gather plan produces.
+    // same `(c, ky, kx)` tap order both tiers walk.
     let aug = CMatrix::from_fn(out_ch, patch + 1, |o, q| {
         if q < patch {
             Complex64::new(ws_re[o * patch + q] as f64, ws_im[o * patch + q] as f64)
@@ -1454,19 +1426,6 @@ fn deploy_conv(
         }
     });
     let kernels = decompose_cached(&aug, style, KeyKind::Conv);
-    let (indices, (oh, ow)) = im2col_indices(c, h, w, kernel, stride, pad);
-    let positions = oh * ow;
-    let mut plan = Vec::with_capacity(positions * (patch + 1));
-    for taps in indices.chunks_exact(patch) {
-        plan.extend(taps.iter().map(|&ix| {
-            if ix >= 0 {
-                GatherSource::Input(ix as u32)
-            } else {
-                GatherSource::Dark
-            }
-        }));
-        plan.push(GatherSource::Reference);
-    }
     Ok(ConvStage {
         layer: kernels.layer,
         compiled: kernels.compiled,
@@ -1478,8 +1437,6 @@ fn deploy_conv(
             stride,
             pad,
         },
-        plan: Arc::new(plan),
-        out_ch,
         relu_after: false,
     })
 }
@@ -2025,8 +1982,8 @@ mod tests {
 
     #[test]
     fn conv_geometry_output_shape_is_the_software_layers() {
-        // The direct kernel sizes its output from `ConvGeometry`; the
-        // software layer and the Golden gather plan from `CConv2d`.
+        // Both tiers size their output from `ConvGeometry`; the software
+        // layer from `CConv2d`.
         let mut rng = StdRng::seed_from_u64(21);
         for kernel in [1, 3, 5] {
             for pad in 0..=2 {

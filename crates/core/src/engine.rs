@@ -498,8 +498,7 @@ impl InferenceEngine {
 
     /// Deploys a trained network with an explicit `(C, H, W)` body input
     /// shape and wraps it in one step — the entry point for CNN bodies,
-    /// whose conv/pool layers need the image geometry to build their
-    /// im2col gather plans (see
+    /// whose conv/pool layers need the image geometry to lower (see
     /// [`DeployedFcnn::from_network_shaped`]). The
     /// [`crate::stage::DeployStage`] passes the assigned shape through
     /// here automatically.
@@ -991,7 +990,7 @@ impl Drop for DriftSession<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::zoo::{build_fcnn, FcnnConfig, ModelVariant};
     use oplix_nn::tensor::Tensor;
@@ -999,7 +998,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn engine(seed: u64) -> InferenceEngine {
+    /// A 6→5→3 Merge FCNN deployed on Clements meshes: the small engine
+    /// the engine, serve and lane unit tests share.
+    pub(crate) fn engine(seed: u64) -> InferenceEngine {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = build_fcnn(
             &FcnnConfig {

@@ -1258,3 +1258,48 @@ pub(crate) fn decide(confidence: Option<Confidence>, logits: &[f64]) -> Predicti
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::engine;
+
+    /// A flush in which every request has expired serves nothing: each
+    /// request is rejected with the typed error, `batches` stays at zero
+    /// and the engine never runs. Only `Router::submit` refuses a passed
+    /// deadline at admission, so a deadline of `Instant::now()` admits,
+    /// and it has passed by the time any flush reads the clock.
+    #[test]
+    fn all_expired_flush_never_reaches_the_engine() {
+        const N: usize = 5;
+        let lane = Lane::spawn(
+            "lane".into(),
+            engine(90_000),
+            Policy::default(),
+            N,
+            None,
+            None,
+        );
+        let replies: Vec<Reply> = (0..N)
+            .map(|_| {
+                let fields = vec![Complex64::ONE; lane.input_dim];
+                let deadline = Some(Instant::now());
+                let admitted = lane.admit(fields, None, deadline, Priority::Standard, true);
+                admitted.expect("the lane admits a passed deadline").1
+            })
+            .collect();
+        for reply in replies {
+            let outcome = reply.wait();
+            assert!(
+                matches!(outcome, Err(Error::DeadlineExceeded { .. })),
+                "{outcome:?}"
+            );
+        }
+        let stats = lane.stats();
+        assert_eq!((stats.batches, stats.served), (0, N as u64));
+        let missed = lane.counters.deadline_missed.load(Ordering::Relaxed);
+        assert_eq!(missed, N as u64);
+        let engine = lane.shutdown().expect("the engine comes back");
+        assert_eq!(engine.stats().samples, 0, "the engine never ran");
+    }
+}

@@ -963,28 +963,12 @@ pub fn sample_row(inputs: &CTensor, row: usize) -> Vec<Complex64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::engine;
     use crate::lane::{Counters, WaitTracker};
-    use crate::zoo::{build_fcnn, FcnnConfig, ModelVariant};
     use oplix_nn::tensor::Tensor;
-    use oplix_photonics::decoder::DecoderKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::atomic::Ordering;
-
-    fn engine(seed: u64) -> InferenceEngine {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = build_fcnn(
-            &FcnnConfig {
-                input: 6,
-                hidden: 5,
-                classes: 3,
-            },
-            ModelVariant::Split(DecoderKind::Merge),
-            &mut rng,
-        );
-        InferenceEngine::from_network(&net, DeployedDetection::Differential, MeshStyle::Clements)
-            .expect("FCNN deploys")
-    }
 
     fn view(n: usize, seed: u64) -> CTensor {
         let mut rng = StdRng::seed_from_u64(seed);

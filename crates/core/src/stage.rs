@@ -532,7 +532,7 @@ impl Stage for DeployStage {
 
     fn run(&self, input: TrainedModel) -> Result<DeployedModel, Error> {
         // The assigned image shape rides along so CNN bodies can lower
-        // their conv/pool layers (im2col gather plans need the geometry);
+        // their conv/pool layers (both need the image geometry);
         // FCNN bodies ignore it.
         let engine = InferenceEngine::from_network_shaped(
             &input.network,

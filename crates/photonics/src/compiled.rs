@@ -57,12 +57,12 @@
 //! lanes.
 //!
 //! **Convolutions.** A conv layer lowers to one im2col kernel matrix that
-//! serves every output position. At [`Fidelity::Transfer`]
-//! [`CompiledLayer::forward_conv`] convolves the input planes directly with
-//! `T`, with no patch staging; at [`Fidelity::Golden`]
-//! [`CompiledLayer::forward_gathered`] gathers the patch rows and walks
-//! them through the meshes. The direct kernel is bitwise the gathered
-//! rows served at `Transfer`.
+//! serves every output position, and one [`ConvGeometry`] describes it at
+//! both tiers. [`CompiledLayer::forward_conv`] at [`Fidelity::Transfer`]
+//! convolves the input planes directly with `T`, with no patch staging; at
+//! [`Fidelity::Golden`] it builds one sample's patch rows from the geometry
+//! and walks them through the meshes. The direct kernel is bitwise those
+//! patch rows served at `Transfer`.
 
 use crate::devices::Mzi;
 use crate::mesh::MziMesh;
@@ -77,10 +77,9 @@ std::thread_local! {
     /// [`CompiledMesh::propagate_batch`] (`2n` rows of `samples` doubles:
     /// row `2m` holds mode `m`'s re parts, row `2m+1` its im parts):
     /// after warm-up, batched propagation allocates nothing per window.
-    /// The [`CompiledLayer`] entry points propagate one row tile at a
-    /// time (see [`tile_rows`]), so on the serving path it never outgrows
-    /// one tile. The transfer sweep stages one lane chunk of rows in it,
-    /// and the direct conv one sample's zero-bordered input planes.
+    /// The transfer sweep stages one lane chunk of rows in it, and the
+    /// direct conv one sample's zero-bordered input planes. A borrow must
+    /// not span a mesh sweep: `propagate_batch` takes it itself.
     static MODE_MAJOR_SCRATCH: std::cell::RefCell<Vec<f64>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -95,21 +94,6 @@ std::thread_local! {
 /// runs ~3.5× faster than sample-major. Public so the property tests
 /// can pin windows straddling the switch.
 pub const MODE_MAJOR_MIN_SAMPLES: usize = 8;
-
-/// Planar scratch budget of one [`CompiledLayer`] row tile: 256 KiB, so a
-/// tile's V* and U sweeps stay resident in a per-core L2 instead of
-/// streaming every butterfly's rows from L3.
-const TILE_BYTES: usize = 256 * 1024;
-
-/// Rows per tile of a layer whose widest mesh has `width` modes. A row
-/// costs `32 · width` bytes: its planar re/im rows (`16 · width`) plus its
-/// sample-major fields (`16 · width`). Never below
-/// [`MODE_MAJOR_MIN_SAMPLES`], so every full tile takes the lane sweep.
-/// The served shapes tile at 315 rows (3×26), 107 (6×76), 84 (24×97) and
-/// 126 (32×65).
-fn tile_rows(width: usize) -> usize {
-    MODE_MAJOR_MIN_SAMPLES.max(TILE_BYTES / (32 * width.max(1)))
-}
 
 /// Outputs the transfer sweep accumulates per register block: with re and
 /// im accumulators this keeps eight lane vectors live, and each input lane
@@ -546,77 +530,6 @@ fn live_cone(mesh: &MziMesh, live: usize) -> Vec<&Mzi> {
     kept
 }
 
-/// Where one gathered input mode of [`CompiledLayer::forward_gathered`]
-/// takes its field from. An im2col lowering of a convolution builds one
-/// `GatherSource` per mesh input mode per output position for the golden
-/// walk: in-bounds patch taps read input fields, padding taps are dark
-/// modes, and the bias tap is the always-on reference mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GatherSource {
-    /// Read the field at this index of the source sample.
-    Input(u32),
-    /// A dark mode: zero field (e.g. a conv tap in the zero padding).
-    Dark,
-    /// The always-on reference mode: unit field (the bias tap).
-    Reference,
-}
-
-/// Expands one source sample through a gather `plan` into `dst`: each plan
-/// slot reads its input field, a dark (zero) mode, or the reference (unit)
-/// mode. This is the single source of truth for the im2col gather —
-/// [`CompiledLayer::forward_gathered`] runs it once per patch row, on that
-/// row's slice of the plan.
-///
-/// The loop is **run-blocked** rather than per-slot: maximal runs of
-/// consecutive `Input(j), Input(j+1), …` taps (the common case — an
-/// im2col plan reads whole kernel-width rows of the input) become one
-/// contiguous `copy_from_slice`, and runs of `Dark` / `Reference` become
-/// splat `fill`s — each a vectorised block move instead of a per-slot
-/// match. The values written per slot are identical to the per-slot walk,
-/// so the blocking is bitwise by construction.
-///
-/// # Panics
-///
-/// Panics if `dst.len() != plan.len()` or a plan entry indexes past
-/// `sample.len()`.
-#[inline]
-pub fn gather_into(plan: &[GatherSource], sample: &[Complex64], dst: &mut [Complex64]) {
-    assert_eq!(
-        dst.len(),
-        plan.len(),
-        "gather destination must fit the plan"
-    );
-    let mut i = 0;
-    while i < plan.len() {
-        let start = i;
-        match plan[i] {
-            GatherSource::Input(j0) => {
-                let mut j = j0;
-                i += 1;
-                while i < plan.len() && j < u32::MAX && plan[i] == GatherSource::Input(j + 1) {
-                    i += 1;
-                    j += 1;
-                }
-                dst[start..i].copy_from_slice(&sample[j0 as usize..=j as usize]);
-            }
-            GatherSource::Dark => {
-                i += 1;
-                while i < plan.len() && plan[i] == GatherSource::Dark {
-                    i += 1;
-                }
-                dst[start..i].fill(Complex64::ZERO);
-            }
-            GatherSource::Reference => {
-                i += 1;
-                while i < plan.len() && plan[i] == GatherSource::Reference {
-                    i += 1;
-                }
-                dst[start..i].fill(Complex64::ONE);
-            }
-        }
-    }
-}
-
 /// The geometry of a convolution served by [`CompiledLayer::forward_conv`]:
 /// `channels` input planes of `height × width` fields, a square `kernel`,
 /// and the `stride` and zero padding `pad` of both spatial axes.
@@ -668,6 +581,35 @@ impl ConvGeometry {
     /// Patch taps `C·k²`: the mesh fan-in without the bias tap.
     pub fn patch_len(&self) -> usize {
         self.channels * self.kernel * self.kernel
+    }
+
+    /// Writes one sample's `H'·W'` im2col patch rows into `rows`, each
+    /// `patch_len + 1` wide: taps in `(c, ky, kx)` order, a tap in the
+    /// padding `+0`, and the bias tap `1` last.
+    fn patch_rows(&self, sample: &[Complex64], rows: &mut [Complex64]) {
+        let ow = self.out_hw().1;
+        let at = |o: usize, k: usize, side: usize| {
+            (o * self.stride + k)
+                .checked_sub(self.pad)
+                .filter(|&i| i < side)
+        };
+        for (p, row) in rows.chunks_exact_mut(self.patch_len() + 1).enumerate() {
+            let mut j = 0;
+            for c in 0..self.channels {
+                for ky in 0..self.kernel {
+                    for kx in 0..self.kernel {
+                        row[j] = match (at(p / ow, ky, self.height), at(p % ow, kx, self.width)) {
+                            (Some(iy), Some(ix)) => {
+                                sample[(c * self.height + iy) * self.width + ix]
+                            }
+                            _ => Complex64::ZERO,
+                        };
+                        j += 1;
+                    }
+                }
+            }
+            row[j] = Complex64::ONE;
+        }
     }
 }
 
@@ -791,89 +733,30 @@ impl CompiledLayer {
         std::mem::swap(io, tmp);
     }
 
-    /// Golden batched forward over *im2col windows*: every sample of `src`
-    /// (a contiguous window of `src.len() / src_width` samples, each
-    /// `src_width` fields wide) is expanded into `plan.len() / input_dim`
-    /// gathered rows, one per convolution output position. `plan` maps
-    /// each gathered mode to its source: an input field, a dark
-    /// (zero-padding) mode, or the always-on reference (bias) mode. Row
-    /// `r` is position `r % positions` of sample `r / positions`.
+    /// A convolution at `fidelity`. `src` holds a window of samples, each
+    /// `C·H·W` fields channel-major (`[C, H, W]`, row-major); on exit `io`
+    /// holds each sample's `output_dim · H'·W'` outputs channel-major
+    /// (`[output_dim, H', W']`); `tmp` is caller-owned scratch. The layer is
+    /// the im2col kernel matrix: input `j < C·k²` of `T` is patch tap
+    /// `(c, ky, kx)` in that order, and the last input is the bias tap.
     ///
-    /// The full `samples × positions × input_dim` patch buffer never
-    /// exists: the rows are gathered one tile at a time into `tmp`, and
-    /// each tile runs straight through the meshes into its output rows (a
-    /// tile may start or end inside a sample). [`Fidelity::Transfer`]
-    /// serves convolutions through [`CompiledLayer::forward_conv`] instead.
+    /// At [`Fidelity::Golden`] each sample's `H'·W'` patch rows are built
+    /// in `tmp` from the geometry (a padding tap `+0`, the bias tap `1`),
+    /// walked through the meshes as one window, and written channel-major.
+    /// A row's result does not depend on its window, so each output is
+    /// bitwise its patch row run through [`CompiledLayer::forward_into`].
     ///
-    /// On exit `io` holds `samples × rows_per_sample × output_dim` fields,
-    /// row-major in `(sample, row)` order. Bitwise identical to gathering
-    /// each row by hand and running it through
-    /// [`CompiledLayer::forward_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plan.len()` is not a multiple of
-    /// [`CompiledLayer::input_dim`], `src.len()` is not a multiple of
-    /// `src_width`, or a plan entry indexes past `src_width`.
-    pub fn forward_gathered(
-        &self,
-        src: &[Complex64],
-        src_width: usize,
-        plan: &[GatherSource],
-        io: &mut Vec<Complex64>,
-        tmp: &mut Vec<Complex64>,
-    ) {
-        assert!(
-            plan.len().is_multiple_of(self.n.max(1)) && self.n > 0,
-            "gather plan length must be a multiple of the layer fan-in"
-        );
-        assert!(
-            src_width > 0 && src.len().is_multiple_of(src_width),
-            "source window length must be a multiple of the sample width"
-        );
-        let (n, m) = (self.n, self.m);
-        let positions = plan.len() / n;
-        let rows = src.len() / src_width * positions;
-        io.clear();
-        io.resize(rows * m, Complex64::ZERO);
-        tmp.clear();
-        let tile = tile_rows(n.max(m));
-        tmp.resize(tile.min(rows) * n, Complex64::ZERO);
-        for r0 in (0..rows).step_by(tile) {
-            let r1 = rows.min(r0 + tile);
-            let gathered = &mut tmp[..(r1 - r0) * n];
-            for (r, dst) in (r0..r1).zip(gathered.chunks_exact_mut(n)) {
-                let (s, p) = (r / positions, r % positions);
-                gather_into(
-                    &plan[p * n..(p + 1) * n],
-                    &src[s * src_width..(s + 1) * src_width],
-                    dst,
-                );
-            }
-            self.tile_forward(gathered, &mut io[r0 * m..r1 * m], r1 - r0);
-        }
-    }
-
-    /// A convolution at [`Fidelity::Transfer`], computed directly over the
-    /// input planes. `src` holds a window of samples, each `C·H·W` fields
-    /// channel-major (`[C, H, W]`, row-major); on exit `io` holds each
-    /// sample's `output_dim · H'·W'` outputs channel-major
-    /// (`[output_dim, H', W']`). The layer is the im2col kernel matrix:
-    /// input `j < C·k²` of `T` is patch tap `(c, ky, kx)` in that order,
-    /// and the last input is the bias tap.
-    ///
-    /// Each sample is copied once into zero-bordered planar planes (re and
-    /// im lines apart, each row split by column phase when the stride is
-    /// above one, so every tap loads contiguous lanes). Then, for each output row, each lane chunk of
+    /// At [`Fidelity::Transfer`] each sample is copied once into
+    /// zero-bordered planar planes (re and im lines apart, each row split
+    /// by column phase when the stride is above one, so every tap loads
+    /// contiguous lanes). Then, for each output row, each lane chunk of
     /// output columns and each register block of output channels, the
     /// kernel accumulates `acc + t_oj · x_j` over the taps in im2col order
     /// with [`cmul_splat_lhs`], and the bias tap last as `t_ob · (1 + 0i)`.
-    /// A padding tap multiplies the plane's `+0` border, as the dark mode
-    /// of a gathered row does. So every output gets the operations of its
-    /// gathered row in the same order, and the result is bitwise identical
-    /// to gathering each patch (see [`gather_into`]), running the rows
-    /// through [`CompiledLayer::forward_batch_at`] at
-    /// [`Fidelity::Transfer`] and scattering them channel-major.
+    /// A padding tap multiplies the plane's `+0` border. So every output
+    /// gets its patch row's operations in the same order, and the result is
+    /// bitwise the Golden path's patch rows run through
+    /// [`CompiledLayer::forward_batch_at`] at [`Fidelity::Transfer`].
     ///
     /// # Panics
     ///
@@ -883,9 +766,11 @@ impl CompiledLayer {
     /// multiple of `C·H·W`.
     pub fn forward_conv(
         &self,
+        fidelity: Fidelity,
         geometry: &ConvGeometry,
         src: &[Complex64],
         io: &mut Vec<Complex64>,
+        tmp: &mut Vec<Complex64>,
     ) {
         assert_eq!(
             self.n,
@@ -898,17 +783,38 @@ impl CompiledLayer {
             "source window length must be a multiple of C·H·W"
         );
         let out_features = self.m * geometry.positions();
-        // The kernel writes every output, so stale fields need no zeroing.
+        // Both tiers write every output, so stale fields need no zeroing.
         io.resize(src.len() / in_features * out_features, Complex64::ZERO);
-        MODE_MAJOR_SCRATCH.with(|cell| {
-            dispatch(ConvKernel {
-                layer: self,
-                geometry: *geometry,
-                src,
-                out: io,
-                planes: &mut cell.borrow_mut(),
-            });
-        });
+        match fidelity {
+            Fidelity::Golden => {
+                // Per sample, the patch rows and the walk's position-major
+                // outputs share `tmp`.
+                let (n, m, positions) = (self.n, self.m, geometry.positions());
+                tmp.resize(positions * (n + m), Complex64::ZERO);
+                let (rows, out) = tmp.split_at_mut(positions * n);
+                let samples = src.chunks_exact(in_features);
+                for (x, y) in samples.zip(io.chunks_exact_mut(out_features)) {
+                    geometry.patch_rows(x, rows);
+                    // Σ writes only the first `min(m, n)` modes of each row.
+                    out.fill(Complex64::ZERO);
+                    self.golden(rows, out, positions);
+                    for (p, fields) in out.chunks_exact(m).enumerate() {
+                        for (o, &z) in fields.iter().enumerate() {
+                            y[o * positions + p] = z;
+                        }
+                    }
+                }
+            }
+            Fidelity::Transfer => MODE_MAJOR_SCRATCH.with(|cell| {
+                dispatch(ConvKernel {
+                    layer: self,
+                    geometry: *geometry,
+                    src,
+                    out: io,
+                    planes: &mut cell.borrow_mut(),
+                });
+            }),
+        }
     }
 
     /// Golden compiled forward pass over a window of `samples` contiguous
@@ -929,11 +835,9 @@ impl CompiledLayer {
     /// caller-owned scratch. Every row runs the identical operation
     /// sequence wherever it sits in the window.
     ///
-    /// At [`Fidelity::Golden`] the window runs one row tile at a time (V*,
-    /// Σ, then U per tile), so each tile's planar sweeps stay
-    /// cache-resident however large the window is; tiling only changes
-    /// which rows share a lane sweep. At [`Fidelity::Transfer`] the sweep
-    /// stages one lane chunk of rows at a time and needs no tiles.
+    /// At [`Fidelity::Golden`] the whole window runs as one V* sweep, Σ,
+    /// and one U sweep. At [`Fidelity::Transfer`] the sweep stages one lane
+    /// chunk of rows at a time.
     ///
     /// # Panics
     ///
@@ -958,23 +862,15 @@ impl CompiledLayer {
             // Σ writes only the first `min(m, n)` modes of each row.
             tmp.clear();
             tmp.resize(samples * self.m, Complex64::ZERO);
-            let tile = tile_rows(self.n.max(self.m));
-            for r0 in (0..samples).step_by(tile) {
-                let r1 = samples.min(r0 + tile);
-                self.tile_forward(
-                    &mut io[r0 * self.n..r1 * self.n],
-                    &mut tmp[r0 * self.m..r1 * self.m],
-                    r1 - r0,
-                );
-            }
+            self.golden(io, tmp, samples);
         }
         std::mem::swap(io, tmp);
     }
 
-    /// One row tile through the golden walk: V* in place over `input`
-    /// (`rows × n`), Σ into the zeroed `output` rows (`rows × m`), then U
-    /// in place over `output`.
-    fn tile_forward(&self, input: &mut [Complex64], output: &mut [Complex64], rows: usize) {
+    /// The golden walk over a window of `rows` rows: V* in place over
+    /// `input` (`rows × n`), Σ into the zeroed `output` rows (`rows × m`),
+    /// then U in place over `output`.
+    fn golden(&self, input: &mut [Complex64], output: &mut [Complex64], rows: usize) {
         self.v.propagate_batch(input, rows);
         for r in 0..rows {
             self.sigma(
@@ -1374,44 +1270,28 @@ mod tests {
         out
     }
 
-    /// The direct-conv oracle: every patch gathered by hand through
-    /// [`gather_into`] (padding taps dark, the bias tap on the reference),
-    /// the rows run through [`CompiledLayer::forward_batch_at`] at
-    /// Transfer, and scattered channel-major.
+    /// The conv oracle: each sample's [`ConvGeometry::patch_rows`] run
+    /// through [`CompiledLayer::forward_batch_at`] at Transfer, or one at a
+    /// time through [`CompiledLayer::forward_into`] at Golden, then
+    /// scattered channel-major. The direct Transfer kernel addresses its
+    /// taps on its own, so pinning it here pins the patch rows too.
     fn gathered_conv(
         compiled: &CompiledLayer,
+        fidelity: Fidelity,
         g: &ConvGeometry,
         src: &[Complex64],
     ) -> Vec<Complex64> {
-        let (oh, ow) = g.out_hw();
-        let (positions, m, n) = (oh * ow, compiled.m, compiled.n);
-        let at = |o: usize, k: usize, side: usize| {
-            let i = (o * g.stride + k).checked_sub(g.pad)?;
-            (i < side).then_some(i)
-        };
-        let mut plan = Vec::with_capacity(positions * n);
-        for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
-            for c in 0..g.channels {
-                for ky in 0..g.kernel {
-                    for kx in 0..g.kernel {
-                        plan.push(match (at(oy, ky, g.height), at(ox, kx, g.width)) {
-                            (Some(iy), Some(ix)) => {
-                                GatherSource::Input(((c * g.height + iy) * g.width + ix) as u32)
-                            }
-                            _ => GatherSource::Dark,
-                        });
-                    }
-                }
-            }
-            plan.push(GatherSource::Reference);
-        }
+        let (positions, m) = (g.positions(), compiled.m);
         let (mut out, mut tmp) = (Vec::new(), Vec::new());
         for sample in src.chunks_exact(g.in_features()) {
-            let mut rows = vec![Complex64::ZERO; plan.len()];
-            for (taps, row) in plan.chunks_exact(n).zip(rows.chunks_exact_mut(n)) {
-                gather_into(taps, sample, row);
+            let mut rows = vec![Complex64::ZERO; positions * compiled.n];
+            g.patch_rows(sample, &mut rows);
+            match fidelity {
+                Fidelity::Golden => rows = row_by_row(compiled, fidelity, &rows),
+                Fidelity::Transfer => {
+                    compiled.forward_batch_at(fidelity, &mut rows, &mut tmp, positions)
+                }
             }
-            compiled.forward_batch_at(Fidelity::Transfer, &mut rows, &mut tmp, positions);
             out.extend((0..m * positions).map(|q| rows[q % positions * m + q / positions]));
         }
         out
@@ -1438,13 +1318,22 @@ mod tests {
     }
 
     /// Asserts the direct conv at both lane widths and through the
-    /// dispatched entry point is bitwise [`gathered_conv`].
+    /// dispatched entry point is bitwise [`gathered_conv`] at Transfer, and
+    /// the Golden entry point bitwise [`gathered_conv`] at Golden, on
+    /// Clements or Reck meshes by the seed's parity.
     fn assert_direct_conv_is_gathered(m: usize, g: &ConvGeometry, samples: usize, seed: u64) {
-        let compiled = random_layer(m, g.patch_len() + 1, MeshStyle::Clements, seed);
+        let style = [MeshStyle::Clements, MeshStyle::Reck][seed as usize % 2];
+        let compiled = random_layer(m, g.patch_len() + 1, style, seed);
         let src = random_fields(samples * g.in_features(), seed ^ 0xc0);
-        let want = live_bits(&gathered_conv(&compiled, g, &src), 1, 1);
-        let mut io = Vec::new();
-        compiled.forward_conv(g, &src, &mut io);
+        let (mut io, mut tmp) = (Vec::new(), Vec::new());
+        compiled.forward_conv(Fidelity::Golden, g, &src, &mut io, &mut tmp);
+        assert_eq!(
+            live_bits(&io, 1, 1),
+            live_bits(&gathered_conv(&compiled, Fidelity::Golden, g, &src), 1, 1),
+            "Golden m={m} {g:?} samples={samples}"
+        );
+        let want = live_bits(&gathered_conv(&compiled, Fidelity::Transfer, g, &src), 1, 1);
+        compiled.forward_conv(Fidelity::Transfer, g, &src, &mut io, &mut tmp);
         let runs = [
             ("F64x4", direct_conv::<F64x4>(&compiled, g, &src)),
             ("F64x8", direct_conv::<F64x8>(&compiled, g, &src)),
@@ -1532,37 +1421,6 @@ mod tests {
         let compiled = CompiledMesh::compile(&mesh);
         assert_eq!(compiled.stage_count(), mesh.depth());
         assert_eq!(compiled.mzi_count(), mesh.mzi_count());
-    }
-
-    #[test]
-    fn forward_gathered_matches_manual_gather_bitwise() {
-        // A 3-mode layer fed two gathered rows per 4-wide source sample:
-        // the batched im2col entry point must be bitwise the hand-gathered
-        // per-row walk, including dark (padding) and reference (bias)
-        // modes.
-        let mut rng = StdRng::seed_from_u64(900);
-        let w = CMatrix::from_fn(2, 3, |_, _| {
-            Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-        });
-        let layer = PhotonicLayer::from_matrix(&w, MeshStyle::Clements);
-        let compiled = CompiledLayer::compile(&layer);
-        let plan = [
-            GatherSource::Input(2),
-            GatherSource::Dark,
-            GatherSource::Reference,
-            GatherSource::Input(0),
-            GatherSource::Input(3),
-            GatherSource::Reference,
-        ];
-        let src = random_fields(3 * 4, 901); // three 4-wide samples
-        let mut rows = Vec::new();
-        for sample in src.chunks_exact(4) {
-            rows.extend([sample[2], Complex64::ZERO, Complex64::ONE]);
-            rows.extend([sample[0], sample[3], Complex64::ONE]);
-        }
-        let (mut io, mut tmp) = (Vec::new(), Vec::new());
-        compiled.forward_gathered(&src, 4, &plan, &mut io, &mut tmp);
-        assert_eq!(io, row_by_row(&compiled, Fidelity::Golden, &rows));
     }
 
     #[test]
@@ -1719,62 +1577,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_rows_on_the_served_shapes() {
-        for (width, rows) in [(26, 315), (76, 107), (97, 84), (65, 126)] {
-            assert_eq!(tile_rows(width), rows, "width {width}");
-        }
-        assert_eq!(tile_rows(0), TILE_BYTES / 32);
-        assert_eq!(tile_rows(1 << 20), MODE_MAJOR_MIN_SAMPLES);
-    }
-
-    #[test]
-    fn forward_gathered_is_bitwise_across_tile_cuts_inside_a_sample() {
-        // A 3×26 layer (315-row tiles) fed 106 positions per sample: the
-        // first tile ends inside sample 2, and 3 samples leave a 3-row
-        // tail below the mode-major switch. The gathered window must be
-        // bitwise the hand-gathered rows run one at a time, and the planar
-        // scratch must stay within one tile.
-        const POSITIONS: usize = 106;
-        const SAMPLES: usize = 3;
-        const WIDTH: usize = 40;
-        let (m, n) = (3usize, 26usize);
-        let tile = tile_rows(n);
-        assert_ne!(tile % POSITIONS, 0);
-        let tail = SAMPLES * POSITIONS % tile;
-        assert!(SAMPLES * POSITIONS > tile && tail > 0 && tail < MODE_MAJOR_MIN_SAMPLES);
-
-        let mut rng = StdRng::seed_from_u64(902);
-        let w = CMatrix::from_fn(m, n, |_, _| {
-            Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
-        });
-        let plan: Vec<GatherSource> = (0..POSITIONS * n)
-            .map(|_| match rng.gen_range(0..8) {
-                0 => GatherSource::Dark,
-                1 => GatherSource::Reference,
-                _ => GatherSource::Input(rng.gen_range(0..WIDTH as u32)),
-            })
-            .collect();
-        let src = random_fields(SAMPLES * WIDTH, 903);
-        let mut rows = Vec::with_capacity(SAMPLES * POSITIONS * n);
-        for sample in src.chunks_exact(WIDTH) {
-            rows.extend(plan.iter().map(|g| match *g {
-                GatherSource::Input(j) => sample[j as usize],
-                GatherSource::Dark => Complex64::ZERO,
-                GatherSource::Reference => Complex64::ONE,
-            }));
-        }
-        for style in [MeshStyle::Clements, MeshStyle::Reck] {
-            let compiled = CompiledLayer::compile(&PhotonicLayer::from_matrix(&w, style));
-            let (mut io, mut tmp) = (Vec::new(), Vec::new());
-            compiled.forward_gathered(&src, WIDTH, &plan, &mut io, &mut tmp);
-            let scratch = MODE_MAJOR_SCRATCH.with(|cell| cell.borrow().len());
-            assert!(scratch <= 2 * n * tile, "{style:?}: scratch {scratch}");
-            let want = row_by_row(&compiled, Fidelity::Golden, &rows);
-            assert_eq!(live_bits(&io, m, m), live_bits(&want, m, m), "{style:?}");
-        }
-    }
-
-    #[test]
     fn direct_conv_is_bitwise_gathered_on_single_position_outputs() {
         // A 1×1 output from an unpadded kernel-sized input, from a padded
         // 1×1 input, and from a strided input one wider than the kernel;
@@ -1809,7 +1611,13 @@ mod tests {
         };
         let compiled = random_layer(2, g.patch_len() + 1, MeshStyle::Clements, 908);
         let src = random_fields(g.in_features() + 1, 909);
-        compiled.forward_conv(&g, &src, &mut Vec::new());
+        compiled.forward_conv(
+            Fidelity::Transfer,
+            &g,
+            &src,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
     }
 
     proptest! {
@@ -1959,11 +1767,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The direct conv is bitwise the gathered Transfer rows scattered
-        /// channel-major, at both lane widths and dispatched: odd and even
-        /// planes, every kernel, padding and stride the lowering serves,
-        /// and channel counts covering every register-block remainder and
-        /// more than one block.
+        /// The direct conv is bitwise the patch rows run at Transfer and
+        /// scattered channel-major, at both lane widths and dispatched, and
+        /// the Golden conv bitwise the patch rows walked one at a time: odd
+        /// and even planes, every kernel, padding and stride the lowering
+        /// serves, and channel counts covering every register-block
+        /// remainder and more than one block.
         #[test]
         fn direct_conv_is_bitwise_gathered_transfer(
             channels in 1usize..4,

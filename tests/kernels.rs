@@ -96,29 +96,28 @@ fn compiled_svd_layers_are_bitwise_across_styles() {
         }
     }
 
-    // The conv shapes again, at windows that cross `forward_batch`'s row
-    // tiles (256 KiB / (32 B × widest mesh): 315 rows at 3×26, 107 at
-    // 6×76): one short of a tile, exactly one, one over, two plus a tail,
-    // and a tile plus a tail below the mode-major switch. Bit patterns,
-    // so signed zeros count.
+    // The conv shapes again, at wide windows: 315 rows at 3×26 and 107
+    // at 6×76, one short, one over, twice plus a tail, and one plus a
+    // tail below the mode-major switch. Bit patterns, so signed zeros
+    // count.
     let bits = |fields: &[Complex64]| -> Vec<(u64, u64)> {
         fields
             .iter()
             .map(|c| (c.re.to_bits(), c.im.to_bits()))
             .collect()
     };
-    for &(m, n, tile) in &[(3usize, 26usize, 315usize), (6, 76, 107)] {
+    for &(m, n, wide) in &[(3usize, 26usize, 315usize), (6, 76, 107)] {
         let w = CMatrix::from_fn(m, n, |_, _| {
             Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
         });
         let counts = [
-            tile - 1,
-            tile,
-            tile + 1,
-            2 * tile + 3,
-            tile + MODE_MAJOR_MIN_SAMPLES - 1,
+            wide - 1,
+            wide,
+            wide + 1,
+            2 * wide + 3,
+            wide + MODE_MAJOR_MIN_SAMPLES - 1,
         ];
-        let most = 2 * tile + 3;
+        let most = 2 * wide + 3;
         for style in [MeshStyle::Clements, MeshStyle::Reck] {
             let layer = PhotonicLayer::from_matrix(&w, style);
             let compiled = CompiledLayer::compile(&layer);
@@ -146,9 +145,9 @@ fn compiled_svd_layers_are_bitwise_across_styles() {
 #[test]
 fn transfer_windows_are_bitwise_row_by_row() {
     // The transfer tier on the two conv shapes, at every window up to two
-    // chunks of the widest lane tier (8) plus a tail, and at windows
-    // around the golden walk's row tiles (315 rows at 3×26, 107 at 6×76):
-    // each window must be bitwise its rows run as one-row windows, which
+    // chunks of the widest lane tier (8) plus a tail, and at wide windows
+    // (315 rows at 3×26, 107 at 6×76, and their neighbours): each window
+    // must be bitwise its rows run as one-row windows, which
     // take the one-lane sweep alone. Then one row is moved through every
     // position of a window and must come out with the same bits.
     const LANES: usize = 8;
@@ -159,12 +158,12 @@ fn transfer_windows_are_bitwise_row_by_row() {
             .collect()
     };
     let mut rng = StdRng::seed_from_u64(3);
-    for &(m, n, tile) in &[(3usize, 26usize, 315usize), (6, 76, 107)] {
+    for &(m, n, wide) in &[(3usize, 26usize, 315usize), (6, 76, 107)] {
         let w = CMatrix::from_fn(m, n, |_, _| {
             Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))
         });
-        let counts = (0..=2 * LANES + 3).chain([tile - 1, tile, tile + 1, 2 * tile + 3]);
-        let most = 2 * tile + 3;
+        let counts = (0..=2 * LANES + 3).chain([wide - 1, wide, wide + 1, 2 * wide + 3]);
+        let most = 2 * wide + 3;
         for style in [MeshStyle::Clements, MeshStyle::Reck] {
             let compiled = CompiledLayer::compile(&PhotonicLayer::from_matrix(&w, style));
             let window = random_fields(n * most, (m * 41 + n) as u64);

@@ -194,7 +194,7 @@ proptest! {
     /// sequential one — same logits, same classes — across engine worker
     /// counts {1, 2, 7} and batch sizes spanning two and three 64-sample
     /// serving windows, for a two-stage FCNN and a deep LeNet conv body.
-    /// The CI `sharded` job re-runs this binary under
+    /// The CI `serving` job re-runs this binary under
     /// `OPLIX_JOBS ∈ {1, 2, 7}`.
     #[test]
     fn sharded_walk_is_bitwise_identical_to_sequential_walk(
