@@ -1302,4 +1302,49 @@ mod tests {
         let engine = lane.shutdown().expect("the engine comes back");
         assert_eq!(engine.stats().samples, 0, "the engine never ran");
     }
+
+    /// EDF carves flushes out of a backlog by deadline, not by arrival:
+    /// loose deadlines admitted first flush after a later burst of tighter
+    /// ones. Holding the stages lock parks the batcher right after the
+    /// plug flush, so the whole backlog is queued before it flushes again;
+    /// the backlog is whole batches, so no flush waits out a window. A
+    /// FIFO batcher would flush the loose requests second.
+    #[test]
+    fn edf_reorders_flushes_under_deadline_pressure() {
+        const MAX_BATCH: usize = 4;
+        const LOOSE: usize = 4;
+        const TIGHT: usize = 2 * MAX_BATCH;
+        let policy = Policy {
+            max_batch: MAX_BATCH,
+            max_wait: Duration::from_secs(60),
+            confidence: None,
+        };
+        let lane = Lane::spawn("lane".into(), engine(90_100), policy, 64, None, None);
+        let admit = |deadline: Option<Duration>| {
+            let fields = vec![Complex64::ONE; lane.input_dim];
+            let deadline = deadline.map(|d| Instant::now() + d);
+            let admitted = lane.admit(fields, None, deadline, Priority::Standard, true);
+            admitted.expect("the lane admits").1
+        };
+        let seq = |reply: Reply| reply.wait().expect("served").flush_seq;
+
+        let parked = relock(lane.counters.stages.lock());
+        let plugs: Vec<Reply> = (0..MAX_BATCH).map(|_| admit(None)).collect();
+        let plug_seqs: Vec<u64> = plugs.into_iter().map(seq).collect();
+        let loose: Vec<Reply> = (0..LOOSE)
+            .map(|_| admit(Some(Duration::from_secs(240))))
+            .collect();
+        let tight: Vec<Reply> = (0..TIGHT)
+            .map(|_| admit(Some(Duration::from_secs(120))))
+            .collect();
+        drop(parked);
+
+        assert_eq!(plug_seqs, [1; MAX_BATCH]);
+        let tight_seqs: Vec<u64> = tight.into_iter().map(seq).collect();
+        assert_eq!(tight_seqs, [2, 2, 2, 2, 3, 3, 3, 3]);
+        let loose_seqs: Vec<u64> = loose.into_iter().map(seq).collect();
+        assert_eq!(loose_seqs, [4; LOOSE]);
+        assert_eq!(lane.stats().batches, 4);
+        lane.shutdown().expect("the engine comes back");
+    }
 }

@@ -12,7 +12,6 @@ pub const RULES: &[&str] = &[
     "unsafe-hygiene",
     "panic-policy",
     "determinism-hazards",
-    "bench-baseline",
 ];
 
 /// One reported violation, with a workspace-relative `file:line` span.
@@ -256,7 +255,7 @@ fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Enumerate the workspace source set the checker walks: `src/`,
-/// `tests/`, `crates/*/src/`, and `crates/*/benches/` under `root`.
+/// `tests/` and `crates/*/src/` under `root`.
 /// Returns workspace-relative paths with `/` separators, sorted.
 pub fn workspace_files(root: &Path) -> Vec<String> {
     let mut abs = Vec::new();
@@ -271,7 +270,6 @@ pub fn workspace_files(root: &Path) -> Vec<String> {
         dirs.sort();
         for d in dirs {
             rust_files_under(&d.join("src"), &mut abs);
-            rust_files_under(&d.join("benches"), &mut abs);
         }
     }
     let mut rel: Vec<String> = abs

@@ -5,10 +5,10 @@
 //! at production speed — rests on contracts that property tests can only
 //! sample: the no-FMA rule behind the lanes layer's bitwise guarantee,
 //! one documented `unsafe` per hazard, typed errors instead of panics on
-//! public API paths, deterministic iteration on serving paths, and a
-//! perf gate whose baseline keys actually exist. `oplix-lint` checks all
-//! of them on every file, on every push — the violation is caught the
-//! day it is written, not the day a property test happens to sample it.
+//! public API paths, and deterministic iteration on serving paths.
+//! `oplix-lint` checks all of them on every file, on every push — the
+//! violation is caught the day it is written, not the day a property test
+//! happens to sample it.
 //!
 //! ## Quickstart
 //!
@@ -25,7 +25,6 @@
 //! | `unsafe-hygiene` | every `unsafe` site carries a preceding `// SAFETY:` comment, and the per-file site count is pinned in `lint-baseline.toml` |
 //! | `panic-policy` | no `.unwrap()`/`.expect(`/`panic!` in non-test library code beyond the pinned per-file counts — public paths return the typed [`oplixnet` `Error`] instead |
 //! | `determinism-hazards` | no iteration over `HashMap`/`HashSet` on serving/deploy paths (keyed lookup is fine); no `Instant::now`/thread-identity reads in kernel crates |
-//! | `bench-baseline` | every metric key `bench_smoke` references exists in its `BENCH_*.json` baseline, so the perf gate cannot erode silently |
 //!
 //! [`oplixnet` `Error`]: https://docs.rs/oplixnet
 //!
@@ -122,7 +121,7 @@ pub fn lint_file(path: &str, text: &str) -> Vec<Finding> {
 
 /// Check the whole workspace rooted at `root` against `baseline`.
 ///
-/// Walks `src/`, `tests/`, `crates/*/src/`, and `crates/*/benches/`,
+/// Walks `src/`, `tests/` and `crates/*/src/`,
 /// runs every rule, applies suppressions, and folds the counting rules
 /// against the pinned baseline: counts above a pin are findings, counts
 /// below it are ratchet notes.
@@ -158,24 +157,6 @@ pub fn lint_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<Repor
         if !sites.is_empty() {
             report.panic_counts.insert(rel.clone(), sites.len());
             panic_lines.insert(rel.clone(), sites);
-        }
-
-        // R5 for any bench source paired with baseline files; a bench
-        // registered against several baselines is checked against their
-        // union.
-        let baseline_texts: Vec<(&str, Option<String>)> = rules::BENCH_BASELINE_PAIRS
-            .iter()
-            .filter(|(src, _)| src == rel)
-            .map(|(_, name)| (*name, std::fs::read_to_string(root.join(name)).ok()))
-            .collect();
-        if !baseline_texts.is_empty() {
-            let baselines: Vec<(&str, Option<&str>)> = baseline_texts
-                .iter()
-                .map(|(name, text)| (*name, text.as_deref()))
-                .collect();
-            report
-                .findings
-                .extend(file.apply_allows(rules::bench_baseline(&file, &baselines)));
         }
     }
 

@@ -29,19 +29,10 @@ pub const ORDER_SENSITIVE_PATHS: &[&str] = &[
     "crates/core/src/engine.rs",
 ];
 
-/// `(bench source, baseline json)` pairs for the bench-baseline rule:
-/// every metric key the bench references must exist in its baseline,
-/// otherwise the perf gate erodes silently (a missing key used to fail
-/// loudly only at bench runtime, on a runner with matching metadata).
-/// A bench may appear in several pairs; its keys are then checked
-/// against the union of the paired baselines.
-pub const BENCH_BASELINE_PAIRS: &[(&str, &str)] =
-    &[("crates/bench/benches/bench_smoke.rs", "BENCH_kernels.json")];
-
 /// Workspace-local stand-ins for crates.io dependencies. Panicking is
-/// part of the API they emulate (`proptest` assertion failures,
-/// `criterion` harness errors), so the panic policy exempts them.
-const STUB_CRATES: &[&str] = &["rand", "criterion", "proptest"];
+/// part of the API they emulate (`proptest` assertion failures), so the
+/// panic policy exempts them.
+const STUB_CRATES: &[&str] = &["rand", "proptest"];
 
 /// The crate a workspace-relative path belongs to, if under `crates/`.
 pub fn crate_of(path: &str) -> Option<&str> {
@@ -53,7 +44,9 @@ fn in_kernel_crate(path: &str) -> bool {
 }
 
 /// True where the panic policy applies: library source (`src/` trees),
-/// excluding test/bench harness code and the dependency stubs.
+/// excluding test/bench harness code and the dependency stubs. Bench code
+/// is the `bench` crate path: `perfbench/`'s own tests lint its sources as
+/// `crates/bench/benches/perfbench/…`.
 pub fn panic_policy_applies(path: &str) -> bool {
     let in_src = path.starts_with("src/") || path.contains("/src/");
     let exempt_crate = crate_of(path).is_some_and(|c| c == "bench" || STUB_CRATES.contains(&c));
@@ -435,104 +428,6 @@ pub fn determinism_hazards(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
-// ---------------------------------------------------------------------------
-// R5: bench-baseline
-// ---------------------------------------------------------------------------
-
-/// Metric keys a bench source references: string literals shaped like
-/// identifiers (`mesh16_compiled_ns_per_sample`) in tuple position
-/// (preceded by `(`, followed by `,`).
-pub fn referenced_metric_keys(file: &SourceFile) -> Vec<(String, u32)> {
-    let code = code(file);
-    let mut out = Vec::new();
-    for i in 0..code.len() {
-        let t = code[i];
-        if t.kind != TokenKind::Str {
-            continue;
-        }
-        let looks_like_key = t.text.contains('_')
-            && t.text
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_lowercase())
-            && t.text
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-        if !looks_like_key {
-            continue;
-        }
-        let tuple_position =
-            i > 0 && code[i - 1].is_punct('(') && code.get(i + 1).is_some_and(|n| n.is_punct(','));
-        if tuple_position {
-            out.push((t.text.clone(), t.line));
-        }
-    }
-    out
-}
-
-/// Top-level keys of a flat JSON baseline (`"key": value` lines).
-pub fn baseline_json_keys(text: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        let Some(rest) = trimmed.strip_prefix('"') else {
-            continue;
-        };
-        let Some((key, rest)) = rest.split_once('"') else {
-            continue;
-        };
-        if rest.trim_start().starts_with(':') {
-            out.insert(key.to_string());
-        }
-    }
-    out
-}
-
-/// Every metric key the bench references must exist in one of its
-/// checked-in baselines — otherwise the perf gate reports a missing key
-/// only at bench runtime on a matching runner, i.e. the gate erodes
-/// silently. `baselines` is every `(name, contents)` pair the bench is
-/// registered against in [`BENCH_BASELINE_PAIRS`]; keys are checked
-/// against the union, and each unreadable baseline is its own finding.
-pub fn bench_baseline(bench: &SourceFile, baselines: &[(&str, Option<&str>)]) -> Vec<Finding> {
-    let keys = referenced_metric_keys(bench);
-    let mut out = Vec::new();
-    let mut present = BTreeSet::new();
-    for (name, text) in baselines {
-        match text {
-            Some(t) => present.extend(baseline_json_keys(t)),
-            None => out.push(finding(
-                "bench-baseline",
-                bench,
-                1,
-                format!("references baseline `{name}`, which does not exist"),
-            )),
-        }
-    }
-    let names = baselines
-        .iter()
-        .map(|(n, _)| format!("`{n}`"))
-        .collect::<Vec<_>>()
-        .join(" / ");
-    out.extend(
-        keys.iter()
-            .filter(|(k, _)| !present.contains(k))
-            .map(|(k, line)| {
-                finding(
-                    "bench-baseline",
-                    bench,
-                    *line,
-                    format!(
-                        "metric `{k}` is referenced here but missing from \
-                     {names} — the perf gate would fail (or silently \
-                     skip) instead of comparing it"
-                    ),
-                )
-            }),
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,55 +516,5 @@ fn f(s: &S) {
             1
         );
         assert!(determinism_hazards(&file("crates/core/src/spec.rs", src)).is_empty());
-    }
-
-    #[test]
-    fn bench_baseline_catches_missing_and_present_keys() {
-        let bench = "\
-fn measure() -> Vec<(&'static str, f64)> {
-    vec![(\"mesh16_compiled_ns_per_sample\", 1.0), (\"gone_metric_ms\", 2.0)]
-}
-";
-        let f = file("crates/bench/benches/bench_smoke.rs", bench);
-        let baseline = "{\n  \"mesh16_compiled_ns_per_sample\": 564.5\n}\n";
-        let hits = bench_baseline(&f, &[("BENCH_kernels.json", Some(baseline))]);
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("gone_metric_ms"));
-        // A missing baseline is its own finding, and with nothing to
-        // union against every referenced key is missing too.
-        let missing = bench_baseline(&f, &[("BENCH_kernels.json", None)]);
-        assert_eq!(missing.len(), 3, "{missing:?}");
-        assert!(missing[0].message.contains("does not exist"));
-    }
-
-    #[test]
-    fn bench_baseline_unions_keys_across_paired_baselines() {
-        let bench = "\
-fn measure() -> Vec<(&'static str, f64)> {
-    vec![(\"kernel_metric_ns\", 1.0), (\"pipeline_metric_us\", 2.0)]
-}
-";
-        let f = file("crates/bench/benches/bench_smoke.rs", bench);
-        let kernels = "{\n  \"kernel_metric_ns\": 1.0\n}\n";
-        let pipeline = "{\n  \"pipeline_metric_us\": 2.0\n}\n";
-        // Each key lives in a different baseline: the union covers both.
-        let hits = bench_baseline(
-            &f,
-            &[
-                ("BENCH_kernels.json", Some(kernels)),
-                ("BENCH_pipeline.json", Some(pipeline)),
-            ],
-        );
-        assert!(hits.is_empty(), "{hits:?}");
-        // Dropping one baseline surfaces both its absence and the key
-        // that no remaining baseline covers.
-        let hits = bench_baseline(
-            &f,
-            &[
-                ("BENCH_kernels.json", Some(kernels)),
-                ("BENCH_pipeline.json", None),
-            ],
-        );
-        assert_eq!(hits.len(), 2, "{hits:?}");
     }
 }

@@ -4,8 +4,7 @@
 //! live under `tests/fixtures/` and are linted under virtual workspace
 //! paths, since rule applicability is path-dependent.
 
-use oplix_lint::engine::SourceFile;
-use oplix_lint::{lint_file, rules};
+use oplix_lint::lint_file;
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -71,31 +70,6 @@ fn determinism_flags_wall_clock_in_kernel_crates() {
         ["determinism-hazards"]
     );
     assert!(lint("crates/core/src/fixture.rs", "determinism_clock_hit.rs").is_empty());
-}
-
-#[test]
-fn bench_baseline_hit_and_miss() {
-    let baseline = fixture("bench_baseline.json");
-    let bench_path = rules::BENCH_BASELINE_PAIRS[0].0;
-
-    let hit = SourceFile::parse(bench_path, &fixture("bench_hit.rs"));
-    let findings = rules::bench_baseline(&hit, &[("bench_baseline.json", Some(baseline.as_str()))]);
-    assert_eq!(findings.len(), 1);
-    assert!(findings[0].message.contains("metric_missing_from_baseline"));
-
-    let miss = SourceFile::parse(bench_path, &fixture("bench_miss.rs"));
-    assert!(
-        rules::bench_baseline(&miss, &[("bench_baseline.json", Some(baseline.as_str()))])
-            .is_empty()
-    );
-
-    // A referenced baseline file that does not exist is itself a
-    // finding — and with nothing left to union against, the key the
-    // bench references is missing too.
-    assert_eq!(
-        rules::bench_baseline(&miss, &[("bench_baseline.json", None)]).len(),
-        2
-    );
 }
 
 #[test]

@@ -218,11 +218,15 @@ pub fn conv2d_backward_weight(
 /// `p·(C·kh·kw) + q` is the flat `[C, H, W]` input index the slot reads,
 /// or `-1` when the slot falls in the zero padding.
 ///
-/// This is the *single source of truth* for the patch geometry: the
-/// software [`conv2d_forward_im2col`] and the photonic deployment's
-/// gather stages both consume it, so proving the software identity
-/// (im2col forward ≡ direct forward) carries over to the hardware
-/// lowering's patch extraction.
+/// Only the software [`conv2d_forward_im2col`] consumes it, and the
+/// `tests/conv_deploy.rs` proptest pins that view element-wise to the
+/// direct [`conv2d_forward`]. The photonic deployment does not read these
+/// indices: its conv stage builds patch rows from
+/// `oplix_photonics::compiled::ConvGeometry` in the same `(c, ky, kx)`
+/// tap order. What ties the deployment to the software conv is end to
+/// end: deployed CNN logits, strided and padded bodies included, agree
+/// with the software network's forward within `1e-3`
+/// (`tests/conv_deploy.rs`).
 ///
 /// Returns `(indices, (H', W'))`.
 ///
