@@ -1,12 +1,12 @@
 //! Domain scenario: regenerate every table and figure of the paper in one
 //! run (the same code paths the benchmark harness uses).
 //!
-//! Pass `--quick` to use the smoke-test scale: 12 min 26 s of wall time
-//! with `--jobs 2` on a 2-vCPU host (8 min 42 s when that host was less
-//! loaded), most of it training the CNNs of Tables II and III. Its stdout,
-//! less the first line, is pinned in `tests/data/paper_tables_quick.txt`,
-//! and CI fails on any difference. The default standard scale trains the
-//! full model grid and takes longer still. Pass `--jobs N` to bound the shared worker pool every
+//! Pass `--quick` to use the smoke-test scale: 10 to 13 min with
+//! `--jobs 2` on 2 vCPUs, most of it training the CNNs of Tables II and
+//! III. Its stdout, less the first line, is pinned in
+//! `tests/data/paper_tables_quick.txt`, and CI fails on any difference.
+//! The default standard scale trains the full model grid and takes longer
+//! still. Pass `--jobs N` to bound the shared worker pool every
 //! experiment grid draws from (default: available parallelism, or the
 //! `OPLIX_JOBS` environment variable).
 //!
