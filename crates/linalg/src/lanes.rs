@@ -34,17 +34,18 @@
 //! operations as their scalar twins, and no `-ffast-math`-style flags are
 //! in play.
 
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, Mul, Neg, Sub};
 
 /// The operations a kernel written against lane vectors of `T` needs:
-/// element-wise `+`/`-`/`*` (via the operator bounds), broadcast, and
+/// element-wise `+`/`-`/`*` and negation (via the operator bounds),
+/// broadcast, and
 /// slice load/store. Implemented by every width of a scalar type
 /// ([`F64x1`], [`F64x4`] and [`F64x8`] for `f64`, [`F32x8`] and
 /// [`F32x16`] for `f32`), so a kernel generic over `V: Lane<f64>`
 /// monomorphises to any register width while running the identical
 /// per-element operations.
 pub trait Lane<T: Copy>:
-    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self>
+    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Neg<Output = Self>
 {
     /// Number of scalar elements per lane vector.
     const LANES: usize;
@@ -174,6 +175,20 @@ macro_rules! lane_type {
                 $name(out)
             }
         }
+
+        impl Neg for $name {
+            type Output = Self;
+            /// The sign flip `-x` per lane, so `-(+0.0)` is `-0.0` (which
+            /// `splat(0.0) - x` would not give).
+            #[inline(always)]
+            fn neg(self) -> Self {
+                let mut out = self.0;
+                for o in out.iter_mut() {
+                    *o = -*o;
+                }
+                $name(out)
+            }
+        }
     };
 }
 
@@ -280,6 +295,17 @@ pub fn cmul_splat_rhs<V: Lane<f64>>(xr: V, xi: V, c_re: f64, c_im: f64) -> (V, V
     let cr = V::splat(c_re);
     let ci = V::splat(c_im);
     (xr * cr - xi * ci, xr * ci + xi * cr)
+}
+
+/// Planar complex multiply of two lane vectors, `(xr + i·xi) * (yr +
+/// i·yi)` element-wise, with the expression shape of
+/// [`Complex64`](crate::Complex64)`::mul` (`x` as `self`): `re = xr*yr -
+/// xi*yi`, `im = xr*yi + xi*yr`. The lane-by-lane twin of
+/// [`cmul_splat_lhs`] for products whose both factors vary per element,
+/// such as the terms of an inner product.
+#[inline(always)]
+pub fn cmul<V: Lane<f64>>(xr: V, xi: V, yr: V, yi: V) -> (V, V) {
+    (xr * yr - xi * yi, xr * yi + xi * yr)
 }
 
 /// Whether the running CPU supports AVX2 (cached after the first probe).
@@ -411,10 +437,15 @@ mod tests {
         let sum = a + b;
         let dif = a - b;
         let prd = a * b;
+        let neg = -F64x4([0.0, -0.0, 1.5, -2.0]);
         for i in 0..F64x4::LANES {
             assert_eq!(sum.0[i].to_bits(), (a.0[i] + b.0[i]).to_bits());
             assert_eq!(dif.0[i].to_bits(), (a.0[i] - b.0[i]).to_bits());
             assert_eq!(prd.0[i].to_bits(), (a.0[i] * b.0[i]).to_bits());
+        }
+        let want = [-0.0f64, 0.0, -1.5, 2.0];
+        for (got, want) in neg.0.iter().zip(want) {
+            assert_eq!(got.to_bits(), want.to_bits());
         }
     }
 
