@@ -21,6 +21,7 @@ use oplix_nn::ctensor::CTensor;
 use oplix_nn::head::{LinearDecoderHead, UnitaryDecoderHead};
 use oplix_nn::layers::{CAvgPool2d, CConv2d, CDense, CFlatten, CRelu};
 use oplix_nn::network::Network;
+use oplix_nn::tensor::Tensor;
 pub use oplix_photonics::compiled::Fidelity;
 use oplix_photonics::compiled::{CompiledLayer, ConvGeometry};
 use oplix_photonics::count::DeviceCount;
@@ -374,6 +375,13 @@ pub enum DeployError {
         /// Body index of the offending layer.
         index: usize,
     },
+    /// A weight or bias is NaN or infinite, so the layer has no SVD to map
+    /// onto meshes. Checked before any decomposition runs.
+    NonFiniteWeight {
+        /// Body index of the offending layer, or the body's length for
+        /// the decoder head.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for DeployError {
@@ -402,6 +410,10 @@ impl std::fmt::Display for DeployError {
                  incoming pipeline state (channel mismatch, kernel larger than the \
                  padded input, pooling window not dividing the feature map, or an \
                  activation before any weight layer)"
+            ),
+            DeployError::NonFiniteWeight { index } => write!(
+                f,
+                "layer {index} has a NaN or infinite weight or bias and cannot be decomposed"
             ),
         }
     }
@@ -495,7 +507,7 @@ impl DeployedFcnn {
             };
             if let Some(dense) = any.downcast_ref::<CDense>() {
                 stages.push(DeployedStage::Mesh(
-                    deploy_dense(dense, style).into_stage(false, false),
+                    deploy_dense(dense, index, style)?.into_stage(false, false),
                 ));
                 image = None;
             } else if let Some(conv) = any.downcast_ref::<CConv2d>() {
@@ -535,16 +547,17 @@ impl DeployedFcnn {
 
         // Decoder-bearing heads deploy as one more optical stage, so the
         // hardware is faithful to the trained head for every decoder kind.
+        let head = net.body().layers().len();
         if let Some(any) = net.head().as_any() {
             if let Some(linear) = any.downcast_ref::<LinearDecoderHead>() {
                 stages.push(DeployedStage::Mesh(
-                    deploy_dense(linear.dense(), style).into_stage(false, false),
+                    deploy_dense(linear.dense(), head, style)?.into_stage(false, false),
                 ));
             } else if let Some(unitary) = any.downcast_ref::<UnitaryDecoderHead>() {
                 // K class modes + K zero ancilla modes enter the 2K-wide
                 // decoder array.
                 stages.push(DeployedStage::Mesh(
-                    deploy_dense(unitary.dense(), style).into_stage(true, false),
+                    deploy_dense(unitary.dense(), head, style)?.into_stage(true, false),
                 ));
             }
         }
@@ -1379,9 +1392,14 @@ fn decompose_cached(w: &CMatrix, style: MeshStyle, kind: KeyKind) -> DeployedKer
     kernels
 }
 
-fn deploy_dense(dense: &CDense, style: MeshStyle) -> DeployedKernels {
+fn deploy_dense(
+    dense: &CDense,
+    index: usize,
+    style: MeshStyle,
+) -> Result<DeployedKernels, DeployError> {
     let (w_re, w_im) = dense.weight();
     let (b_re, b_im) = dense.bias();
+    all_finite([w_re, w_im, b_re, b_im], index)?;
     let (m, n) = (dense.n_out(), dense.n_in());
     // Homogeneous augmentation: last column is the bias.
     let aug = CMatrix::from_fn(m, n + 1, |i, j| {
@@ -1391,7 +1409,22 @@ fn deploy_dense(dense: &CDense, style: MeshStyle) -> DeployedKernels {
             Complex64::new(b_re.as_slice()[i] as f64, b_im.as_slice()[i] as f64)
         }
     });
-    decompose_cached(&aug, style, KeyKind::Dense)
+    Ok(decompose_cached(&aug, style, KeyKind::Dense))
+}
+
+/// [`DeployError::NonFiniteWeight`] for layer `index` unless every value
+/// of `tensors` is finite: a NaN would run the SVD to its sweep limit and
+/// then panic sorting the singular values, and an infinity would deploy
+/// with an infinite gain.
+fn all_finite(tensors: [&Tensor; 4], index: usize) -> Result<(), DeployError> {
+    if tensors
+        .iter()
+        .all(|t| t.as_slice().iter().all(|v| v.is_finite()))
+    {
+        Ok(())
+    } else {
+        Err(DeployError::NonFiniteWeight { index })
+    }
 }
 
 /// Lowers one convolution onto a mesh through the im2col view: the
@@ -1414,6 +1447,7 @@ fn deploy_conv(
     let patch = conv.patch_len();
     let (w_re, w_im) = conv.weight();
     let (b_re, b_im) = conv.bias();
+    all_finite([w_re, w_im, b_re, b_im], index)?;
     let (ws_re, ws_im) = (w_re.as_slice(), w_im.as_slice());
     // The kernel's `[O, C, k, k]` storage is row-major, so row `o` of the
     // im2col kernel matrix is the contiguous slice `ws[o·patch ..]` in the
@@ -2025,6 +2059,32 @@ mod tests {
         )
         .expect_err("channel mismatch must not deploy");
         assert_eq!(err, DeployError::Geometry { index: 0 });
+    }
+
+    #[test]
+    fn non_finite_weights_are_a_typed_error() {
+        // Parameters visit as conv (w_re, w_im, b_re, b_im), then dense:
+        // a NaN conv weight and an infinite dense bias, at body indices 0
+        // and 3, each rejected before any decomposition runs.
+        for (param, value, index) in [(0, f32::NAN, 0), (7, f32::INFINITY, 3)] {
+            let mut net = tiny_cnn(95_005);
+            let mut k = 0;
+            net.visit_params(&mut |p| {
+                if k == param {
+                    p.value.as_mut_slice()[0] = value;
+                }
+                k += 1;
+            });
+            let err = DeployedFcnn::from_network_shaped(
+                &net,
+                Some((1, 4, 4)),
+                DeployedDetection::Differential,
+                MeshStyle::Clements,
+            )
+            .expect_err("non-finite weights must not deploy");
+            assert_eq!(err, DeployError::NonFiniteWeight { index });
+            assert!(err.to_string().contains("NaN or infinite"), "{err}");
+        }
     }
 
     #[test]
