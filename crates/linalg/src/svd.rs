@@ -62,21 +62,25 @@ const MAX_SWEEPS: usize = 64;
 /// assert!(f.reconstruct().max_abs_diff(&a) < 1e-9);
 /// ```
 pub fn svd(a: &CMatrix) -> Svd {
-    let mut out = None;
+    let mut out = Svd {
+        u: CMatrix::zeros(0, 0),
+        s: Vec::new(),
+        v: CMatrix::zeros(0, 0),
+    };
     dispatch(Decompose { a, out: &mut out });
-    out.expect("the kernel always produces a factorisation")
+    out
 }
 
 /// [`svd_at`] through [`dispatch`].
 struct Decompose<'a> {
     a: &'a CMatrix,
-    out: &'a mut Option<Svd>,
+    out: &'a mut Svd,
 }
 
 impl LaneKernel for Decompose<'_> {
     #[inline(always)]
     fn run<D: Lane<f64>, S: Lane<f32>>(self) {
-        *self.out = Some(svd_at::<D>(self.a));
+        *self.out = svd_at::<D>(self.a);
     }
 }
 
