@@ -8,7 +8,7 @@
 //! hardware are small enough that asymptotic speed is irrelevant.
 
 use crate::complex::Complex64;
-use crate::lanes::{cmul, cmul_splat_rhs, dispatch, F64x1, Lane, LaneKernel};
+use crate::lanes::{cmul_splat_rhs, dispatch, F64x1, Lane, LaneKernel};
 use crate::matrix::{CMatrix, Matrix};
 use crate::qr::PlanarBasis;
 
@@ -94,18 +94,26 @@ impl LaneKernel for Decompose<'_> {
 /// lanes.
 #[inline(always)]
 fn svd_at<V: Lane<f64>>(a: &CMatrix) -> Svd {
-    let m = a.rows();
-    let n = a.cols();
-    if m < n {
+    if a.rows() < a.cols() {
         // Work on the Hermitian transpose and swap the factors:
         // A^H = U' Σ V'^H  =>  A = V' Σ U'^H.
-        let f = svd_at::<V>(&a.hermitian());
+        let f = tall_svd_at::<V>(&a.hermitian());
         return Svd {
             u: f.v,
             s: f.s,
             v: f.u,
         };
     }
+    tall_svd_at::<V>(a)
+}
+
+/// [`svd_at`] for `m ≥ n`. Not recursive, so it inlines into the tier
+/// clone [`dispatch`] runs: a recursive call would compile apart from
+/// the clone, at the portable width.
+#[inline(always)]
+fn tall_svd_at<V: Lane<f64>>(a: &CMatrix) -> Svd {
+    let m = a.rows();
+    let n = a.cols();
 
     // One-sided Jacobi: iteratively make the columns of `work` mutually
     // orthogonal; the rotations accumulate into V.
@@ -123,7 +131,7 @@ fn svd_at<V: Lane<f64>>(a: &CMatrix) -> Svd {
         let mut off_diagonal = false;
         for p in 0..n {
             for q in (p + 1)..n {
-                let (alpha, beta, gamma) = work.inner_products::<V>(p, q);
+                let (alpha, beta, gamma) = work.inner_products(p, q);
                 let g = gamma.abs();
                 if g <= tol * (alpha * beta).sqrt() || g == 0.0 {
                     continue;
@@ -231,16 +239,18 @@ impl Columns {
     }
 
     /// `(Σ|a_p|², Σ|a_q|², Σ conj(a_p)·a_q)` over the rows, each one
-    /// sequential sum in row order. Full lane chunks run at `V`, the tail
-    /// at [`F64x1`].
-    #[inline(always)]
-    fn inner_products<V: Lane<f64>>(&self, p: usize, q: usize) -> (f64, f64, Complex64) {
+    /// sequential sum in row order. The four sums are latency-bound
+    /// chains, so this stays a scalar walk over the contiguous planes.
+    fn inner_products(&self, p: usize, q: usize) -> (f64, f64, Complex64) {
         let ((pr, pi), (qr, qi)) = (self.column(p), self.column(q));
-        let full = self.rows - self.rows % V::LANES;
-        let mut sums = (0.0, 0.0, Complex64::ZERO);
-        inner_products_span::<V>((pr, pi, qr, qi), 0..full, &mut sums);
-        inner_products_span::<F64x1>((pr, pi, qr, qi), full..self.rows, &mut sums);
-        sums
+        let (mut alpha, mut beta, mut gamma) = (0.0, 0.0, Complex64::ZERO);
+        for (((&pr, &pi), &qr), &qi) in pr.iter().zip(pi).zip(qr).zip(qi) {
+            let (ap, aq) = (Complex64::new(pr, pi), Complex64::new(qr, qi));
+            alpha += ap.norm_sqr();
+            beta += aq.norm_sqr();
+            gamma += ap.conj() * aq;
+        }
+        (alpha, beta, gamma)
     }
 
     /// `[a_p, a_q] ← [a_p·m11 + a_q·m21, a_p·m12 + a_q·m22]` on every row.
@@ -252,28 +262,6 @@ impl Columns {
         let full = rows - rows % V::LANES;
         rotate_span::<V>((pr, pi, qr, qi), m, 0..full);
         rotate_span::<F64x1>((pr, pi, qr, qi), m, full..rows);
-    }
-}
-
-#[inline(always)]
-fn inner_products_span<W: Lane<f64>>(
-    (pr, pi, qr, qi): (&[f64], &[f64], &[f64], &[f64]),
-    span: std::ops::Range<usize>,
-    (alpha, beta, gamma): &mut (f64, f64, Complex64),
-) {
-    let mut i = span.start;
-    while i < span.end {
-        let (apr, api) = (W::load(&pr[i..]), W::load(&pi[i..]));
-        let (aqr, aqi) = (W::load(&qr[i..]), W::load(&qi[i..]));
-        let np = apr * apr + api * api;
-        let nq = aqr * aqr + aqi * aqi;
-        let (gr, gi) = cmul(apr, -api, aqr, aqi);
-        for l in 0..W::LANES {
-            *alpha += np.get(l);
-            *beta += nq.get(l);
-            *gamma += Complex64::new(gr.get(l), gi.get(l));
-        }
-        i += W::LANES;
     }
 }
 
