@@ -242,9 +242,9 @@ fn complete_at<V: Lane<f64>>(basis: &mut PlanarBasis) {
     }
 }
 
-/// Widest lane count of any tier; the pool's row stride is a multiple of
-/// it so every tier's chunks stay in bounds.
-const POOL_ALIGN: usize = 8;
+/// Twice the widest lane count of any tier; the pool's row stride is a
+/// multiple of it so every tier's chunk pairs stay in bounds.
+const POOL_ALIGN: usize = 16;
 
 /// Completion candidates that have not been decided yet, planar and
 /// candidate-minor: element `i` of candidate `c` sits at `i·width + c`.
@@ -277,28 +277,39 @@ impl Pool {
     }
 
     /// Projects every pending candidate against the basis vector `b`:
-    /// `v −= (b*·v)·b`, one candidate per lane. Chunks before the front
-    /// hold decided candidates and are skipped whole; a decided candidate
-    /// sharing the front chunk is updated harmlessly.
+    /// `v −= (b*·v)·b`, one candidate per lane. Two lane chunks share each
+    /// pass over the elements, so two independent sum chains are in flight.
+    /// Chunks before the front hold decided candidates and are skipped
+    /// whole; a decided candidate sharing a front chunk is updated
+    /// harmlessly, as are the zero padding columns.
     #[inline(always)]
     fn project<V: Lane<f64>>(&mut self, (br, bi, bc): Planes<'_>) {
         let w = self.width;
-        let mut c = self.front - self.front % V::LANES;
+        let pair = 2 * V::LANES;
+        let mut c = self.front - self.front % pair;
         while c < self.len {
-            let (mut dr, mut di) = (V::splat(0.0), V::splat(0.0));
+            let zero = V::splat(0.0);
+            let (mut dr0, mut di0, mut dr1, mut di1) = (zero, zero, zero, zero);
             for i in 0..br.len() {
                 let at = i * w + c;
-                let (pr, pi) = cmul_splat_lhs(br[i], bc[i], V::load(&self.re[at..]), V::load(&self.im[at..]));
-                dr = dr + pr;
-                di = di + pi;
+                let (xr, xi) = (&self.re[at..], &self.im[at..]);
+                let (pr, pi) = cmul_splat_lhs(br[i], bc[i], V::load(xr), V::load(xi));
+                dr0 = dr0 + pr;
+                di0 = di0 + pi;
+                let (xr, xi) = (&xr[V::LANES..], &xi[V::LANES..]);
+                let (pr, pi) = cmul_splat_lhs(br[i], bc[i], V::load(xr), V::load(xi));
+                dr1 = dr1 + pr;
+                di1 = di1 + pi;
             }
             for i in 0..br.len() {
-                let at = i * w + c;
-                let (qr, qi) = cmul_splat_rhs(dr, di, br[i], bi[i]);
-                (V::load(&self.re[at..]) - qr).store(&mut self.re[at..]);
-                (V::load(&self.im[at..]) - qi).store(&mut self.im[at..]);
+                for (k, (dr, di)) in [(dr0, di0), (dr1, di1)].into_iter().enumerate() {
+                    let at = i * w + c + k * V::LANES;
+                    let (qr, qi) = cmul_splat_rhs(dr, di, br[i], bi[i]);
+                    (V::load(&self.re[at..]) - qr).store(&mut self.re[at..]);
+                    (V::load(&self.im[at..]) - qi).store(&mut self.im[at..]);
+                }
             }
-            c += V::LANES;
+            c += pair;
         }
     }
 
