@@ -211,7 +211,10 @@ struct Columns {
 
 impl Columns {
     fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> Complex64) -> Self {
-        let (mut re, mut im) = (Vec::with_capacity(rows * cols), Vec::with_capacity(rows * cols));
+        let (mut re, mut im) = (
+            Vec::with_capacity(rows * cols),
+            Vec::with_capacity(rows * cols),
+        );
         for j in 0..cols {
             for i in 0..rows {
                 let z = f(i, j);
