@@ -126,14 +126,12 @@ pub fn complete_unitary(cols: &[Vec<Complex64>], n: usize) -> CMatrix {
 }
 
 /// Orthonormal columns of length `n` in planar storage: vector `k` is
-/// `re[k·n..(k+1)·n]` and `im[..]`, with `conj_im = −im` kept beside them
-/// so the conjugated factor of an inner product loads like the others.
+/// `re[k·n..(k+1)·n]` and the same span of `im`.
 pub(crate) struct PlanarBasis {
     n: usize,
     len: usize,
     re: Vec<f64>,
     im: Vec<f64>,
-    conj_im: Vec<f64>,
 }
 
 impl PlanarBasis {
@@ -144,7 +142,6 @@ impl PlanarBasis {
             len: 0,
             re: Vec::with_capacity(n * n),
             im: Vec::with_capacity(n * n),
-            conj_im: Vec::with_capacity(n * n),
         }
     }
 
@@ -154,18 +151,13 @@ impl PlanarBasis {
             let z = at(i);
             self.re.push(z.re);
             self.im.push(z.im);
-            self.conj_im.push(-z.im);
         }
         self.len += 1;
     }
 
     fn vector(&self, k: usize) -> Planes<'_> {
         let span = k * self.n..(k + 1) * self.n;
-        (
-            &self.re[span.clone()],
-            &self.im[span.clone()],
-            &self.conj_im[span],
-        )
+        (&self.re[span.clone()], &self.im[span])
     }
 
     /// Completes the basis to `n` vectors (see [`complete_unitary`]) and
@@ -283,7 +275,7 @@ impl Pool {
     /// whole; a decided candidate sharing a front chunk is updated
     /// harmlessly, as are the zero padding columns.
     #[inline(always)]
-    fn project<V: Lane<f64>>(&mut self, (br, bi, bc): Planes<'_>) {
+    fn project<V: Lane<f64>>(&mut self, (br, bi): Planes<'_>) {
         let w = self.width;
         let pair = 2 * V::LANES;
         let mut c = self.front - self.front % pair;
@@ -293,11 +285,11 @@ impl Pool {
             for i in 0..br.len() {
                 let at = i * w + c;
                 let (xr, xi) = (&self.re[at..], &self.im[at..]);
-                let (pr, pi) = cmul_splat_lhs(br[i], bc[i], V::load(xr), V::load(xi));
+                let (pr, pi) = cmul_splat_lhs(br[i], -bi[i], V::load(xr), V::load(xi));
                 dr0 = dr0 + pr;
                 di0 = di0 + pi;
                 let (xr, xi) = (&xr[V::LANES..], &xi[V::LANES..]);
-                let (pr, pi) = cmul_splat_lhs(br[i], bc[i], V::load(xr), V::load(xi));
+                let (pr, pi) = cmul_splat_lhs(br[i], -bi[i], V::load(xr), V::load(xi));
                 dr1 = dr1 + pr;
                 di1 = di1 + pi;
             }
@@ -338,8 +330,8 @@ fn reproject<V: Lane<f64>>(basis: &PlanarBasis, vr: &mut [f64], vi: &mut [f64]) 
     }
 }
 
-/// A basis vector's `(re, im, −im)` planes.
-type Planes<'a> = (&'a [f64], &'a [f64], &'a [f64]);
+/// A basis vector's `(re, im)` planes.
+type Planes<'a> = (&'a [f64], &'a [f64]);
 
 /// Applies `v −= dot·b` if `update` is given, then returns the inner
 /// product `Σ_i conj(d_i)·v_i` of the updated `v` with `dot_with` (zero
@@ -372,15 +364,15 @@ fn update_then_dot_span<W: Lane<f64>>(
     let mut i = span.start;
     while i < span.end {
         let (mut xr, mut xi) = (W::load(&vr[i..]), W::load(&vi[i..]));
-        if let Some((dot, (br, bi, _))) = update {
+        if let Some((dot, (br, bi))) = update {
             let (qr, qi) = cmul_splat_lhs(dot.re, dot.im, W::load(&br[i..]), W::load(&bi[i..]));
             xr = xr - qr;
             xi = xi - qi;
             xr.store(&mut vr[i..]);
             xi.store(&mut vi[i..]);
         }
-        if let Some((dr, _, dc)) = dot_with {
-            let (pr, pi) = cmul(W::load(&dr[i..]), W::load(&dc[i..]), xr, xi);
+        if let Some((dr, di)) = dot_with {
+            let (pr, pi) = cmul(W::load(&dr[i..]), -W::load(&di[i..]), xr, xi);
             for l in 0..W::LANES {
                 *acc += Complex64::new(pr.get(l), pi.get(l));
             }
