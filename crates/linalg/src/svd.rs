@@ -4,8 +4,18 @@
 //! `W = U Σ V*` (paper §II-A): the unitaries `U` and `V*` become MZI meshes
 //! and `Σ` becomes a column of optical attenuators/amplifiers. The Jacobi
 //! method is chosen because it is simple, numerically robust, and its
-//! convergence is easy to property-test; the matrices mapped onto photonic
-//! hardware are small enough that asymptotic speed is irrelevant.
+//! convergence is easy to property-test.
+//!
+//! Its speed matters all the same: deployment is about a quarter of a
+//! paper-pipeline job. On the 32×129 first layer of that pipeline, one
+//! thread on a 2-vCPU AVX-512 host (minimum of 21 runs),
+//! `PhotonicLayer::from_matrix` takes 11–12 ms. The SVD is 5.4 ms of it:
+//! 3.3 ms completing the 129×129 factor
+//! ([`complete_unitary`](crate::qr::complete_unitary)) and about 2 ms of
+//! Jacobi sweeps. Nulling `V*` into Clements phases takes about 4.5 ms,
+//! plus 0.9 ms for its unitarity check. The scalar loops these kernels
+//! replaced took 14–15 ms in all (SVD 8.0–9.1 ms, completion 4.4–5.0 ms,
+//! Clements 6.0 ms with the check), bit for bit the same factors.
 
 use crate::complex::Complex64;
 use crate::lanes::{cmul_splat_rhs, dispatch, F64x1, Lane, LaneKernel};
