@@ -308,6 +308,50 @@ pub fn cmul<V: Lane<f64>>(xr: V, xi: V, yr: V, yi: V) -> (V, V) {
     (xr * yr - xi * yi, xr * yi + xi * yr)
 }
 
+/// Right-multiplies a pair of planar complex lines by a 2×2 matrix, element
+/// by element: `x' = x·t00 + y·t01` and `y' = x·t10 + y·t11`, each product
+/// with the [`Complex64`](crate::Complex64)`::mul` shape of
+/// [`cmul_splat_rhs`]. This is the column-pair update of a Jacobi rotation
+/// and of a right-multiplied MZI. Full lane chunks run at `V`, the tail at
+/// [`F64x1`].
+///
+/// # Panics
+///
+/// Panics if a plane is shorter than `xr`.
+#[inline(always)]
+pub fn rotate_pair<V: Lane<f64>>(
+    (xr, xi): (&mut [f64], &mut [f64]),
+    (yr, yi): (&mut [f64], &mut [f64]),
+    t: [crate::Complex64; 4],
+) {
+    let n = xr.len();
+    let full = n - n % V::LANES;
+    rotate_pair_span::<V>((xr, xi, yr, yi), t, 0..full);
+    rotate_pair_span::<F64x1>((xr, xi, yr, yi), t, full..n);
+}
+
+#[inline(always)]
+fn rotate_pair_span<W: Lane<f64>>(
+    (xr, xi, yr, yi): (&mut [f64], &mut [f64], &mut [f64], &mut [f64]),
+    [t00, t01, t10, t11]: [crate::Complex64; 4],
+    span: std::ops::Range<usize>,
+) {
+    let mut i = span.start;
+    while i < span.end {
+        let (x_r, x_i) = (W::load(&xr[i..]), W::load(&xi[i..]));
+        let (y_r, y_i) = (W::load(&yr[i..]), W::load(&yi[i..]));
+        let (ar, ai) = cmul_splat_rhs(x_r, x_i, t00.re, t00.im);
+        let (br, bi) = cmul_splat_rhs(y_r, y_i, t01.re, t01.im);
+        let (cr, ci) = cmul_splat_rhs(x_r, x_i, t10.re, t10.im);
+        let (dr, di) = cmul_splat_rhs(y_r, y_i, t11.re, t11.im);
+        (ar + br).store(&mut xr[i..]);
+        (ai + bi).store(&mut xi[i..]);
+        (cr + dr).store(&mut yr[i..]);
+        (ci + di).store(&mut yi[i..]);
+        i += W::LANES;
+    }
+}
+
 /// Whether the running CPU supports AVX2 (cached after the first probe).
 ///
 /// [`dispatch`] uses this to pick the `#[target_feature(enable =

@@ -18,7 +18,7 @@
 //! Clements 6.0 ms with the check), bit for bit the same factors.
 
 use crate::complex::Complex64;
-use crate::lanes::{cmul_splat_rhs, dispatch, F64x1, Lane, LaneKernel};
+use crate::lanes::{dispatch, rotate_pair, Lane, LaneKernel};
 use crate::matrix::{CMatrix, Matrix};
 use crate::qr::PlanarBasis;
 
@@ -99,9 +99,8 @@ impl LaneKernel for Decompose<'_> {
 ///
 /// Every inner product (`α`, `β`, `γ`) is one sequential sum over the rows
 /// in index order, and every rotation update keeps the [`Complex64`] `Mul`
-/// shape ([`cmul_splat_rhs`]), so the factors are bitwise the row-major
-/// scalar loop's; only the element-wise products and the updates run in
-/// lanes.
+/// shape ([`rotate_pair`]), so the factors are bitwise the row-major
+/// scalar loop's; only the rotation updates run in lanes.
 #[inline(always)]
 fn svd_at<V: Lane<f64>>(a: &CMatrix) -> Svd {
     if a.rows() < a.cols() {
@@ -268,35 +267,11 @@ impl Columns {
 
     /// `[a_p, a_q] ← [a_p·m11 + a_q·m21, a_p·m12 + a_q·m22]` on every row.
     #[inline(always)]
-    fn rotate<V: Lane<f64>>(&mut self, p: usize, q: usize, m: [Complex64; 4]) {
+    fn rotate<V: Lane<f64>>(&mut self, p: usize, q: usize, [m11, m12, m21, m22]: [Complex64; 4]) {
         let rows = self.rows;
         let (pr, qr) = Self::pair(&mut self.re, rows, p, q);
         let (pi, qi) = Self::pair(&mut self.im, rows, p, q);
-        let full = rows - rows % V::LANES;
-        rotate_span::<V>((pr, pi, qr, qi), m, 0..full);
-        rotate_span::<F64x1>((pr, pi, qr, qi), m, full..rows);
-    }
-}
-
-#[inline(always)]
-fn rotate_span<W: Lane<f64>>(
-    (pr, pi, qr, qi): (&mut [f64], &mut [f64], &mut [f64], &mut [f64]),
-    [m11, m12, m21, m22]: [Complex64; 4],
-    span: std::ops::Range<usize>,
-) {
-    let mut i = span.start;
-    while i < span.end {
-        let (apr, api) = (W::load(&pr[i..]), W::load(&pi[i..]));
-        let (aqr, aqi) = (W::load(&qr[i..]), W::load(&qi[i..]));
-        let (xr, xi) = cmul_splat_rhs(apr, api, m11.re, m11.im);
-        let (yr, yi) = cmul_splat_rhs(aqr, aqi, m21.re, m21.im);
-        (xr + yr).store(&mut pr[i..]);
-        (xi + yi).store(&mut pi[i..]);
-        let (xr, xi) = cmul_splat_rhs(apr, api, m12.re, m12.im);
-        let (yr, yi) = cmul_splat_rhs(aqr, aqi, m22.re, m22.im);
-        (xr + yr).store(&mut qr[i..]);
-        (xi + yi).store(&mut qi[i..]);
-        i += W::LANES;
+        rotate_pair::<V>((pr, pi), (qr, qi), [m11, m21, m12, m22]);
     }
 }
 

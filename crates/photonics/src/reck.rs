@@ -9,7 +9,7 @@
 
 use crate::devices::Mzi;
 use crate::mesh::MziMesh;
-use oplix_linalg::lanes::{cmul_splat_rhs, dispatch, F64x1, Lane, LaneKernel};
+use oplix_linalg::lanes::{dispatch, rotate_pair, Lane, LaneKernel};
 use oplix_linalg::{CMatrix, Complex64};
 
 /// Decomposes a unitary matrix into a Reck-style triangular MZI mesh.
@@ -122,17 +122,14 @@ impl Lines {
     }
 
     /// Right-multiplies the column pair `(k, k+1)` by the 2×2 transfer
-    /// `t`: `x' = x·t00 + y·t01`, `y' = x·t10 + y·t11` at every row, with
-    /// the [`Complex64`] expression shape, in lanes over the two contiguous
-    /// column lines.
+    /// `t` ([`rotate_pair`]), in lanes over the two contiguous column
+    /// lines.
     #[inline(always)]
     pub(crate) fn rotate_columns<V: Lane<f64>>(&mut self, k: usize, t: [Complex64; 4]) {
         let n = self.n;
         let (xr, yr) = self.re[k * n..(k + 2) * n].split_at_mut(n);
         let (xi, yi) = self.im[k * n..(k + 2) * n].split_at_mut(n);
-        let full = n - n % V::LANES;
-        rotate_columns_span::<V>((xr, xi, yr, yi), t, 0..full);
-        rotate_columns_span::<F64x1>((xr, xi, yr, yi), t, full..n);
+        rotate_pair::<V>((xr, xi), (yr, yi), t);
     }
 
     /// Left-multiplies the row pair `(p, p+1)` by the 2×2 transfer `t`:
@@ -147,28 +144,6 @@ impl Lines {
             let (x, y) = (t00 * x + t01 * y, t10 * x + t11 * y);
             (re[p], im[p], re[p + 1], im[p + 1]) = (x.re, x.im, y.re, y.im);
         }
-    }
-}
-
-#[inline(always)]
-fn rotate_columns_span<W: Lane<f64>>(
-    (xr, xi, yr, yi): (&mut [f64], &mut [f64], &mut [f64], &mut [f64]),
-    [t00, t01, t10, t11]: [Complex64; 4],
-    span: std::ops::Range<usize>,
-) {
-    let mut p = span.start;
-    while p < span.end {
-        let (x_r, x_i) = (W::load(&xr[p..]), W::load(&xi[p..]));
-        let (y_r, y_i) = (W::load(&yr[p..]), W::load(&yi[p..]));
-        let (ar, ai) = cmul_splat_rhs(x_r, x_i, t00.re, t00.im);
-        let (br, bi) = cmul_splat_rhs(y_r, y_i, t01.re, t01.im);
-        let (cr, ci) = cmul_splat_rhs(x_r, x_i, t10.re, t10.im);
-        let (dr, di) = cmul_splat_rhs(y_r, y_i, t11.re, t11.im);
-        (ar + br).store(&mut xr[p..]);
-        (ai + bi).store(&mut xi[p..]);
-        (cr + dr).store(&mut yr[p..]);
-        (ci + di).store(&mut yi[p..]);
-        p += W::LANES;
     }
 }
 
