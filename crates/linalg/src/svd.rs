@@ -10,7 +10,7 @@
 //! paper-pipeline job. On the 32×129 first layer of that pipeline, one
 //! thread on a 2-vCPU AVX-512 host (minimum of 21 runs),
 //! `PhotonicLayer::from_matrix` takes 11–12 ms. The SVD is 5.4 ms of it:
-//! 3.3 ms completing the 129×129 factor
+//! about 3 ms completing the 129×129 factor
 //! ([`complete_unitary`](crate::qr::complete_unitary)) and about 2 ms of
 //! Jacobi sweeps. Nulling `V*` into Clements phases takes about 4.5 ms,
 //! plus 0.9 ms for its unitarity check. The scalar loops these kernels

@@ -116,6 +116,7 @@ impl Lines {
         Complex64::new(self.re[k * self.n + p], self.im[k * self.n + p])
     }
 
+    /// Sets position `p` of line `k`.
     pub(crate) fn set(&mut self, k: usize, p: usize, z: Complex64) {
         self.re[k * self.n + p] = z.re;
         self.im[k * self.n + p] = z.im;
